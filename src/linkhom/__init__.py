@@ -10,6 +10,7 @@ and partial-conjugation move tables classify braid closures for at most
 from .braids import (
     BraidError,
     BraidWord,
+    CertificationError,
     Permutation,
     PureGenerator,
     compose,

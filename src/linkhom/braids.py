@@ -34,6 +34,10 @@ class BraidError(ValueError):
     """Malformed braid input: bad token, index out of range, rank mismatch."""
 
 
+class CertificationError(RuntimeError):
+    """An exact self-check of a computed result failed: a defect, not bad input."""
+
+
 def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Cancel adjacent (i,+1)(i,-1) pairs until none remain."""
     stack: list[Letter] = []

@@ -29,7 +29,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .braids import BraidWord, BraidError, compose, delete_strands, invert, pure_generator_word
+from .braids import (
+    BraidError,
+    BraidWord,
+    CertificationError,
+    compose,
+    delete_strands,
+    invert,
+    pure_generator_word,
+)
 from .gamma import gamma_apply
 from .reduced_free import BasicCommutator, enumerate_basic_commutators
 
@@ -209,7 +217,8 @@ def _probe_coefficients(word: BraidWord) -> dict[tuple[int, ...], int]:
     for k, alpha in enumerate(basis.elements):
         value = int(vec[k])
         if alpha == probe:
-            assert value == 1, "probe readout lost the unit coefficient"
+            if value != 1:
+                raise CertificationError("probe readout lost the unit coefficient")
             continue
         seq = alpha.sequence
         full = alpha.weight == rank
@@ -217,10 +226,8 @@ def _probe_coefficients(word: BraidWord) -> dict[tuple[int, ...], int]:
         if comb_shaped:
             if value:
                 out[seq] = -value
-        else:
-            assert value == 0, (
-                f"probe readout has an unexpected coefficient at {alpha}"
-            )
+        elif value:
+            raise CertificationError(f"probe readout has an unexpected coefficient at {alpha}")
     return out
 
 

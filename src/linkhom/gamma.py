@@ -11,19 +11,22 @@ exponent vector of the action of ``b`` on the commutator word of
 Two roads to the generator matrices exist and are kept strictly apart so
 they can check each other:
 
-* the definitional route (:func:`generator_matrix`): act on each basis
-  commutator word, then take the normal form; this is what
-  :func:`gamma_matrix` is built from;
 * the closed form (:func:`gamma_generator_closed_form`): a seven-way case
   split on where i and i+1 sit inside the index sequence, including the
   signed sum over reversed subsequences when i leads and i+1 follows.
+  This is the production route: :func:`generator_matrix` builds sigma_i
+  from it, derives sigma_i^-1 exactly, and caches both as sparse
+  gather-scatter kernels that :func:`gamma_matrix` and
+  :func:`gamma_apply` apply letter by letter;
+* the definitional route (:func:`gamma_matrix_definitional`): act on each
+  basis commutator word, then take the normal form; it is the oracle the
+  tests compare the closed form against.
 
 Equality of the two on every basis element is an acceptance requirement,
 not an implementation detail.
 
-Matrices are int64 with an exact-arithmetic escalation to Python integers
-whenever a product could approach the int64 range, so all results are
-exact regardless of word length.
+Arithmetic is int64 while a running bound proves it safe and Python
+integers beyond, so all results are exact regardless of word length.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .braids import BraidWord, BraidError, permutation_of
+from .braids import BraidWord, BraidError, CertificationError, permutation_of
 from .reduced_free import (
     BasicCommutator,
     CommutatorBasis,
@@ -54,14 +57,55 @@ def _max_abs(a: np.ndarray) -> int:
     return int(np.max(np.abs(a)))
 
 
-def _safe_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix product: int64 while provably safe, Python ints beyond."""
-    if a.dtype == object or b.dtype == object:
-        return a.astype(object) @ b.astype(object)
-    inner = a.shape[1] if a.ndim == 2 else a.shape[0]
-    if _max_abs(a) * _max_abs(b) * max(inner, 1) >= _INT64_SAFE:
-        return a.astype(object) @ b.astype(object)
-    return a @ b
+@dataclass(frozen=True, eq=False)
+class GeneratorKernel:
+    """One generator matrix ``G`` in dense and gather-scatter form (read-only).
+
+    The nonzero entries of ``G`` are listed row by row in ``cols`` and
+    ``coeffs``; row ``r``'s run starts at ``starts[r]``.  ``G @ v`` for a
+    vector gathers ``v`` at ``cols``, scales by ``coeffs`` and sums each
+    run.  ``G @ M`` for a matrix goes by layers instead, because summing
+    runs of matrix rows is slow: layer k holds the k-th entry of every row
+    that has one, so its rows are distinct and one gather, scale and
+    scatter-add applies it.  The first layer covers every row in order.
+    ``x`` may hold int64 or Python integers.  ``row_sum`` is the largest
+    absolute row sum of ``G``, so ``max|G @ x| <= row_sum * max|x|``, and
+    no partial sum exceeds that bound either.
+    """
+
+    dense: np.ndarray
+    starts: np.ndarray
+    cols: np.ndarray
+    coeffs: np.ndarray
+    layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    row_sum: int
+
+    @classmethod
+    def from_dense(cls, g: np.ndarray) -> GeneratorKernel:
+        # both products need nonempty rows: np.add.reduceat reads an empty
+        # run as the next entry, not as 0, and the first layer is every row
+        if not np.count_nonzero(g, axis=1).all():
+            raise CertificationError("generator matrix has a zero row")
+        rows, cols = np.nonzero(g)
+        coeffs = g[rows, cols]
+        starts = np.searchsorted(rows, np.arange(len(g)))
+        rank = np.arange(len(rows)) - starts[rows]
+        layers = tuple(
+            (rows[rank == k], cols[rank == k], coeffs[rank == k, None])
+            for k in range(int(rank.max()) + 1)
+        )
+        for a in (g, starts, cols, coeffs, *itertools.chain(*layers)):
+            a.flags.writeable = False
+        return cls(g, starts, cols, coeffs, layers, int(np.abs(g).sum(axis=1).max()))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim == 1:
+            return np.add.reduceat(self.coeffs * x[self.cols], self.starts)
+        (_, cols, coeffs), *rest = self.layers
+        out = coeffs * x[cols]
+        for rows, cols, coeffs in rest:
+            out[rows] += coeffs * x[cols]
+        return out
 
 
 @dataclass(frozen=True)
@@ -119,28 +163,74 @@ def _definitional_column(b: BraidWord, alpha: BasicCommutator, basis: Commutator
     return list(rfg_normal_form(image, basis).values)
 
 
-@lru_cache(maxsize=None)
-def generator_matrix(n: int, i: int, sign: int, order: str = "weight-lex") -> np.ndarray:
-    """Definitional matrix of sigma_i^{sign} on n strands (cached, read-only).
+def _certified_inverse(plus: GeneratorKernel, basis: CommutatorBasis) -> np.ndarray:
+    """Exact inverse of a generator matrix, by block substitution over weights.
 
-    Both signs are computed from the action itself; the pair is checked to
-    multiply to the identity, which pins the inverse action formulas.
+    A generator sends a commutator of weight w to weights w and w + 1, so
+    ``G = D + L`` with ``D`` the weight-diagonal blocks and ``L`` the
+    blocks one weight below them.  Each block ``D_w`` is an involution
+    (checked), so ``G^-1`` is block lower-triangular with diagonal ``D``,
+    and row block w left of the diagonal is ``-D_w L_w G^-1[w - 1, :]``.
+    The result is certified by ``G @ G^-1 = I``, computed where the row-sum
+    bound shows int64 cannot wrap, so the check is exact.
+    """
+    g = plus.dense
+    inv = np.zeros_like(g)
+    prev = slice(0, 0)
+    for weight in range(1, basis.rank + 1):
+        rng = basis.weight_range(weight)
+        cur = slice(rng.start, rng.stop)
+        d = g[cur, cur]
+        if not np.array_equal(d @ d, np.eye(len(rng), dtype=np.int64)):
+            raise CertificationError(f"weight-{weight} diagonal block is not an involution")
+        inv[cur, cur] = d
+        inv[cur, : cur.start] = -d @ (g[cur, prev] @ inv[prev, : cur.start])
+        prev = cur
+    if _max_abs(inv) * plus.row_sum >= _INT64_SAFE:
+        raise CertificationError("derived inverse is too large to certify in int64")
+    if not np.array_equal(plus.apply(inv), np.eye(len(g), dtype=np.int64)):
+        raise CertificationError("derived inverse is not the matrix inverse")
+    return inv
+
+
+@lru_cache(maxsize=None)
+def generator_matrix(n: int, i: int, sign: int, order: str = "weight-lex") -> GeneratorKernel:
+    """Kernel of sigma_i^{sign} on n strands (cached).
+
+    sigma_i comes from the closed form; sigma_i^-1 is derived from it
+    exactly and certified to be its matrix inverse.
     """
     if not 1 <= i <= n - 1:
         raise BraidError(f"generator index {i} out of range for {n} strands")
+    if sign == 1:
+        return GeneratorKernel.from_dense(closed_form_generator_matrix(n, i, order))
+    if sign != -1:
+        raise BraidError(f"generator exponent must be 1 or -1, got {sign}")
+    plus = generator_matrix(n, i, 1, order)
     basis = enumerate_basic_commutators(n, order)
-    word = BraidWord(n, ((i, sign),))
-    m = len(basis)
-    mat = np.zeros((m, m), dtype=np.int64)
-    for c, alpha in enumerate(basis.elements):
-        mat[:, c] = _definitional_column(word, alpha, basis)
-    mat.flags.writeable = False
-    if sign == -1:
-        plus = generator_matrix(n, i, 1, order)
-        assert np.array_equal(plus @ mat, np.eye(m, dtype=np.int64)), (
-            "inverse generator matrix is not the matrix inverse"
-        )
-    return mat
+    return GeneratorKernel.from_dense(_certified_inverse(plus, basis))
+
+
+def _apply_word(b: BraidWord, x: np.ndarray, order: str) -> np.ndarray:
+    """``gamma(b) @ x``, one generator kernel per letter from the last (exact).
+
+    Stays in int64 while a running bound proves it safe: the last scanned
+    ``max|x|`` times the row sums of the kernels applied since.  When the
+    bound reaches 2**62, ``x`` is scanned again; if the bound is still that
+    large, the rest of the word runs on Python integers.
+    """
+    escalated = x.dtype == object
+    bound = 0 if escalated else _max_abs(x)
+    for i, sign in reversed(b.letters):
+        kernel = generator_matrix(b.strands, i, sign, order)
+        if not escalated:
+            bound *= kernel.row_sum
+            if bound >= _INT64_SAFE:
+                bound = _max_abs(x) * kernel.row_sum
+                if bound >= _INT64_SAFE:
+                    x, escalated = x.astype(object), True
+        x = kernel.apply(x)
+    return x
 
 
 def gamma_matrix(b: BraidWord, basis: CommutatorBasis | None = None) -> GammaMatrix:
@@ -149,17 +239,14 @@ def gamma_matrix(b: BraidWord, basis: CommutatorBasis | None = None) -> GammaMat
         basis = enumerate_basic_commutators(b.strands)
     if basis.rank != b.strands:
         raise RankError(f"rank mismatch: braid {b.strands}, basis {basis.rank}")
-    out = np.eye(len(basis), dtype=np.int64)
-    for i, sign in b.letters:
-        out = _safe_matmul(out, generator_matrix(b.strands, i, sign, basis.order))
-    return GammaMatrix(basis, out)
+    return GammaMatrix(basis, _apply_word(b, np.eye(len(basis), dtype=np.int64), basis.order))
 
 
 def gamma_matrix_definitional(b: BraidWord, basis: CommutatorBasis | None = None) -> GammaMatrix:
     """Matrix computed column by column from the action of the whole word.
 
-    Exponentially slower than :func:`gamma_matrix` on long words; kept as an
-    independent oracle for the homomorphism property.
+    Exponentially slower than :func:`gamma_matrix` on long words; kept as the
+    independent oracle for the closed form and the homomorphism property.
     """
     if basis is None:
         basis = enumerate_basic_commutators(b.strands)
@@ -176,15 +263,7 @@ def gamma_apply(b: BraidWord, vector: np.ndarray, basis: CommutatorBasis) -> np.
     """gamma(b) @ vector without forming the product matrix (exact)."""
     if basis.rank != b.strands:
         raise RankError(f"rank mismatch: braid {b.strands}, basis {basis.rank}")
-    vec = np.asarray(vector)
-    dim = len(basis)
-    for i, sign in reversed(b.letters):
-        mat = generator_matrix(b.strands, i, sign, basis.order)
-        if vec.dtype == object or _max_abs(mat) * _max_abs(vec) * dim >= _INT64_SAFE:
-            vec = mat.astype(object) @ vec.astype(object)
-        else:
-            vec = mat @ vec
-    return vec
+    return _apply_word(b, np.asarray(vector), basis.order)
 
 
 def braid_equal_lh(a: BraidWord, b: BraidWord) -> bool:
@@ -267,7 +346,7 @@ def gamma_generator_closed_form(
 
 
 def closed_form_generator_matrix(n: int, i: int, order: str = "weight-lex") -> np.ndarray:
-    """Matrix of sigma_i assembled from the closed form (oracle route)."""
+    """Matrix of sigma_i assembled from the closed form (production route)."""
     basis = enumerate_basic_commutators(n, order)
     m = len(basis)
     mat = np.zeros((m, m), dtype=np.int64)

@@ -34,13 +34,14 @@ from linkhom.closure import (
     _increment_vector,
 )
 from linkhom.gamma import (
-    closed_form_generator_matrix,
     gamma_matrix,
+    gamma_matrix_definitional,
     generator_matrix,
     structure_report,
 )
 from linkhom.intlattice import IntegerLattice
 from linkhom.reduced_free import (
+    ORDER_TAGS,
     ReducedWord,
     artin_act,
     basis_size_formula,
@@ -170,12 +171,20 @@ def test_criterion_05_normal_form_uniqueness_and_faithfulness():
 
 
 def test_criterion_06_closed_form_oracle():
-    with timer(6, "closed-form generator images equal the computed matrices, n in {3,4,5}", 60):
-        for n in (3, 4, 5):
-            for i in range(1, n):
-                assert np.array_equal(
-                    closed_form_generator_matrix(n, i), generator_matrix(n, i, 1)
-                )
+    summary = (
+        "closed-form generator matrices and their derived inverses equal the "
+        "definitional action, n in {2,3,4,5}, both basis orders"
+    )
+    with timer(6, summary, 60):
+        for n in (2, 3, 4, 5):
+            for order in ORDER_TAGS:
+                basis = enumerate_basic_commutators(n, order)
+                for i in range(1, n):
+                    for sign in (1, -1):
+                        oracle = gamma_matrix_definitional(BraidWord(n, ((i, sign),)), basis)
+                        assert np.array_equal(
+                            generator_matrix(n, i, sign, order).dense, oracle.matrix
+                        )
         # the eight-term signed-sum instance is pinned separately
         from linkhom.gamma import gamma_generator_closed_form
         from linkhom.reduced_free import BasicCommutator

@@ -1,9 +1,19 @@
 import pytest
 
-from linkhom.braids import BraidError, BraidWord, compose, delete_strand, parse_braid_word, pure_generator_word
+from linkhom.braids import (
+    BraidError,
+    BraidWord,
+    CertificationError,
+    compose,
+    delete_strand,
+    parse_braid_word,
+    pure_generator_word,
+)
+from linkhom import claspers
 from linkhom.claspers import (
     ClaspVector,
     CombClasper,
+    _probe_coefficients,
     clasp_vector_to_braid,
     comb_clasper_braid,
     enumerate_comb_claspers,
@@ -68,6 +78,17 @@ def test_probe_identity(n):
             top: 1,
             BasicCommutator(clasper.sequence): -1,
         }
+
+
+def test_probe_readout_certification(monkeypatch):
+    # A_23 lacks strand 1: it sends (3) to (3) - (23), off the full support
+    with pytest.raises(CertificationError, match="unexpected coefficient"):
+        _probe_coefficients(pure_generator_word(3, 2, 3))
+    # a matrix-vector product that doubles its result loses the unit
+    doubled = claspers.gamma_apply
+    monkeypatch.setattr(claspers, "gamma_apply", lambda *args: 2 * doubled(*args))
+    with pytest.raises(CertificationError, match="unit coefficient"):
+        _probe_coefficients(pure_generator_word(3, 1, 3))
 
 
 def test_clasp_vector_normalisation_and_json():

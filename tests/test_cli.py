@@ -26,6 +26,12 @@ def test_gamma_infers_strands(capsys):
     assert out_a == out_b
 
 
+def test_gamma_six_strands(capsys):
+    code, out, _ = run(capsys, "gamma", "-n", "6", "s1 s2 s3 s4 s5", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 415
+
+
 def test_braid_eq_exit_codes(capsys):
     assert run(capsys, "braid-eq", "-n", "2", "", "")[0] == 0
     assert run(capsys, "braid-eq", "-n", "2", "a1,2", "a1,2 a1,2")[0] == 1

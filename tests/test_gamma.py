@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linkhom.braids import BraidError, BraidWord, compose, parse_braid_word, pure_generator_word
+from linkhom import gamma
+from linkhom.braids import (
+    BraidError,
+    BraidWord,
+    CertificationError,
+    compose,
+    parse_braid_word,
+    pure_generator_word,
+)
 from linkhom.gamma import (
+    GeneratorKernel,
+    _certified_inverse,
+    _max_abs,
     braid_equal_lh,
-    closed_form_generator_matrix,
     diagonal_block,
+    gamma_apply,
     gamma_generator_closed_form,
     gamma_matrix,
     gamma_matrix_definitional,
@@ -13,7 +26,7 @@ from linkhom.gamma import (
     structure_report,
 )
 from linkhom.intlattice import exact_determinant
-from linkhom.reduced_free import BasicCommutator, enumerate_basic_commutators
+from linkhom.reduced_free import ORDER_TAGS, BasicCommutator, enumerate_basic_commutators
 from conftest import random_braid, random_pure_braid
 
 # Golden 8x8 matrices of the two generators on three strands, basis order
@@ -54,17 +67,39 @@ def test_identity_matrix():
 
 
 def test_inverse_generator_is_matrix_inverse():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         for i in range(1, n):
-            plus = generator_matrix(n, i, 1)
-            minus = generator_matrix(n, i, -1)
+            plus = generator_matrix(n, i, 1).dense
+            minus = generator_matrix(n, i, -1).dense
             assert np.array_equal(plus @ minus, np.eye(len(plus), dtype=np.int64))
+            assert np.array_equal(minus @ plus, np.eye(len(plus), dtype=np.int64))
+
+
+def test_inverse_certification_rejects_corrupted_generators():
+    basis = enumerate_basic_commutators(3)
+    good = generator_matrix(3, 1, 1).dense
+    # weight-1 block [[0,1,1],[1,0,0],[0,0,1]] squares to a non-identity
+    not_involution = good.copy()
+    not_involution[0, 2] = 1
+    # an image two weights up, which block substitution does not see
+    skips_weight = good.copy()
+    skips_weight[basis.index_of(BasicCommutator((1, 2, 3))), 0] = 1
+    for corrupted in (not_involution, skips_weight):
+        with pytest.raises(CertificationError):
+            _certified_inverse(GeneratorKernel.from_dense(corrupted), basis)
+    # an inverse whose certificate could wrap around in int64
+    huge = good.copy()
+    huge[basis.index_of(BasicCommutator((1, 2))), 0] = 2**61
+    with pytest.raises(CertificationError, match="too large"):
+        _certified_inverse(GeneratorKernel.from_dense(huge), basis)
+    with pytest.raises(CertificationError):
+        GeneratorKernel.from_dense(np.eye(3, dtype=np.int64) - np.diag([0, 0, 1]))
 
 
 def test_braid_relations_hold():
     # gamma must factor through the braid group: adjacent generators braid,
     # distant ones commute
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         for i in range(1, n - 1):
             lhs = parse_braid_word(f"s{i} s{i + 1} s{i}", n)
             rhs = parse_braid_word(f"s{i + 1} s{i} s{i + 1}", n)
@@ -164,12 +199,16 @@ def test_closed_form_signed_sum():
     }
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_closed_form_matches_definitional(n):
-    for i in range(1, n):
-        assert np.array_equal(
-            closed_form_generator_matrix(n, i), generator_matrix(n, i, 1)
-        )
+    # sigma_i from the closed form and sigma_i^-1 derived from it, against
+    # the action of the one-letter word read through the normal form
+    for order in ORDER_TAGS:
+        basis = enumerate_basic_commutators(n, order)
+        for i in range(1, n):
+            for sign in (1, -1):
+                oracle = gamma_matrix_definitional(BraidWord(n, ((i, sign),)), basis)
+                assert np.array_equal(generator_matrix(n, i, sign, order).dense, oracle.matrix)
 
 
 def test_closed_form_bad_index():
@@ -265,10 +304,62 @@ def test_determinants_are_units_rank_five(rng):
         assert det in (1, -1)
 
 
+def _safe_matmul(a, b):
+    """Exact dense matrix product: int64 while provably safe, Python ints beyond."""
+    if a.dtype == object or b.dtype == object:
+        return a.astype(object) @ b.astype(object)
+    inner = a.shape[1] if a.ndim == 2 else a.shape[0]
+    if _max_abs(a) * _max_abs(b) * max(inner, 1) >= 2**62:
+        return a.astype(object) @ b.astype(object)
+    return a @ b
+
+
+def dense_chain(word, basis):
+    """gamma(word) as the dense product of the generator matrices in word order."""
+    out = np.eye(len(basis), dtype=np.int64)
+    for i, sign in word.letters:
+        out = _safe_matmul(out, generator_matrix(word.strands, i, sign, basis.order).dense)
+    return out
+
+
+@st.composite
+def braid_words(draw, max_letters=40):
+    n = draw(st.integers(2, 5))
+    letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=max_letters))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(braid_words(), st.sampled_from(ORDER_TAGS), st.data())
+def test_sparse_kernel_matches_dense_chain(word, order, data):
+    basis = enumerate_basic_commutators(word.strands, order)
+    sparse = gamma_matrix(word, basis).matrix
+    assert np.array_equal(sparse, dense_chain(word, basis))
+    entries = st.lists(st.integers(-(10**6), 10**6), min_size=len(basis), max_size=len(basis))
+    vec = np.array(data.draw(entries), dtype=np.int64)
+    assert np.array_equal(gamma_apply(word, vec, basis), sparse.astype(object) @ vec.astype(object))
+
+
+def test_escalation_partway_matches_int64(monkeypatch):
+    # with a low threshold both routes start in int64 and switch to Python
+    # integers partway through the word; the values must not change
+    threshold = 2**8
+    basis = enumerate_basic_commutators(4)
+    word = parse_braid_word("a1,2 a2,3 a3,4", 4) ** 20
+    vec = np.arange(len(basis), dtype=np.int64) % 3 - 1
+    matrix, image = gamma_matrix(word).matrix, gamma_apply(word, vec, basis)
+    assert matrix.dtype == image.dtype == np.int64
+    assert _max_abs(matrix) >= threshold and _max_abs(image) >= threshold
+    monkeypatch.setattr(gamma, "_INT64_SAFE", threshold)
+    escalated_matrix = gamma_matrix(word).matrix
+    escalated_image = gamma_apply(word, vec, basis)
+    assert escalated_matrix.dtype == escalated_image.dtype == object
+    assert escalated_matrix.tolist() == matrix.tolist()
+    assert escalated_image.tolist() == image.tolist()
+
+
 def test_exact_escalation_matmul():
     # products that would overflow int64 switch to Python integers
-    from linkhom.gamma import _safe_matmul
-
     big = 2 ** 40
     a = np.array([[big, 1], [0, big]], dtype=np.int64)
     out = _safe_matmul(a, a)
@@ -280,14 +371,19 @@ def test_exact_escalation_matmul():
 
 
 def test_exact_escalation_matvec():
-    from linkhom.gamma import gamma_apply
-
     basis = enumerate_basic_commutators(2)
     vec = np.array([2 ** 61, 1, 0], dtype=object)
     word = BraidWord.sigma(2, 1)
     out = gamma_apply(word, vec, basis)
     # column images: (1) -> (2), (2) -> (1) + (12)
     assert out.tolist() == [1, 2 ** 61, 1]
+    # an int64 input whose image leaves the int64 range: row (123) of
+    # sigma_1 on three strands sums three entries of absolute value 1
+    big = 2**62 - 1
+    vec = np.array([0, 0, 0, 0, 0, big, -big, -big], dtype=np.int64)
+    out = gamma_apply(parse_braid_word("s1", 3), vec, enumerate_basic_commutators(3))
+    assert out.tolist() == (GOLD_SIGMA1.astype(object) @ vec.astype(object)).tolist()
+    assert out[6] == 3 * big
 
 
 def test_structure_sigma1():
