@@ -44,8 +44,11 @@ from .reduced_free import (
     weight_size_formula,
 )
 from .gamma import (
+    MAX_BASIS_SIZE,
     GammaMatrix,
+    LimitError,
     StructureReport,
+    admit_strands,
     braid_equal_lh,
     closed_form_generator_matrix,
     gamma_generator_closed_form,
@@ -60,6 +63,7 @@ from .claspers import (
     comb_clasper_braid,
     enumerate_comb_claspers,
     extract_clasp_vector,
+    read_clasp_numbers,
 )
 from .closure import (
     DEFAULT_BUDGET,

@@ -9,13 +9,20 @@ where ``m = i_l``; for ``l = 2`` it is ``A_{i_1 i_2}`` itself.  The
 integer exponents (*clasp numbers*) are a complete link-homotopy
 invariant of the braid.
 
-Extraction (:func:`extract_clasp_vector`) proceeds degree by degree.  The
-key probe: the matrix of a comb braid sends the weight-one basis element
-``(m)`` to ``(m) - (i_1,..,i_l)``, so restricting the braid to a support
-set (forgetting the other strands) and applying the restricted matrix to
-``(max)`` displays, with a minus sign, every clasp number with that exact
-support.  After each degree the recognised ordered product is divided out
-on the left and the next degree is processed.
+Extraction works on the probe block ``P = [(2) .. (n)]`` of weight-one
+basis columns: the braid's matrix is applied to ``P`` once, and the clasp
+numbers are read off ``gamma(b) @ P`` degree by degree
+(:func:`read_clasp_numbers`).  The key probe: the matrix of a comb braid
+sends ``(m)`` to ``(m) - (i_1,..,i_l)``, and for a pure braid the rows
+and columns of commutators with indices in a support set S form the
+matrix of the braid with every strand outside S forgotten.  So column
+``max S``, read on the rows inside S, displays with a minus sign every
+clasp number of exact support S once the lower degrees are gone.  After
+each degree its ordered comb product is divided out on the left, by
+applying the comb powers with negated exponents to the probes through
+cached sparse comb kernels (:func:`comb_kernel`); no strand is deleted
+and no braid word is built.  The word-level route (strand deletion and a
+residual word) is kept in the tests as the oracle.
 
 Vectors are serialized as ``{"n": .., "order": "degree-lex",
 "nu": {"1.2": .., ...}}`` with dot-joined sequences as keys.
@@ -34,11 +41,10 @@ from .braids import (
     BraidWord,
     CertificationError,
     compose,
-    delete_strands,
     invert,
     pure_generator_word,
 )
-from .gamma import gamma_apply
+from .gamma import UnipotentKernel, admit_strands, apply_power_product, gamma_apply
 from .reduced_free import BasicCommutator, enumerate_basic_commutators
 
 CLASP_ORDER = "degree-lex"
@@ -198,63 +204,118 @@ def clasp_vector_to_braid(v: ClaspVector) -> BraidWord:
     return word
 
 
-def _probe_coefficients(word: BraidWord) -> dict[tuple[int, ...], int]:
-    """Clasp numbers of full support read from one matrix-vector probe.
+@lru_cache(maxsize=None)
+def comb_kernel(c: CombClasper, n: int) -> UnipotentKernel:
+    """gamma of the comb braid, kept as its weight-raising part (cached)."""
+    basis = enumerate_basic_commutators(n)
+    return UnipotentKernel.of_word(comb_clasper_braid(c, n), c.degree, basis)
 
-    ``word`` must be (link-homotopic to) a product of comb braids whose
-    support is the full strand set.  Applies the word's matrix to the
-    weight-one basis element of the last strand and reads the top-weight
-    clasp-shaped coefficients; everything else must vanish.
+
+def comb_power_product(factors: list[tuple[CombClasper, int]], n: int, x: np.ndarray) -> np.ndarray:
+    """gamma(c_1^e_1 .. c_k^e_k) @ x for comb braids c_i on n strands (exact)."""
+    return apply_power_product([(comb_kernel(c, n), e) for c, e in factors], x)
+
+
+@lru_cache(maxsize=None)
+def probe_block(n: int) -> np.ndarray:
+    """The weight-one basis columns of strands 2..n: the probe block P (read-only)."""
+    basis = enumerate_basic_commutators(n)
+    block = np.zeros((len(basis), n - 1), dtype=np.int64)
+    for col, m in enumerate(range(2, n + 1)):
+        block[basis.index_of(BasicCommutator((m,))), col] = 1
+    block.flags.writeable = False
+    return block
+
+
+@dataclass(frozen=True)
+class _DegreeReadout:
+    """Where one degree's clasp numbers sit in ``gamma(b) @ P``.
+
+    The support S is read from the probe column of ``max S``, on the rows
+    of commutators with indices in S: the unit row ``(max S)``, the
+    comb-shaped rows (support S, ending at ``max S``) holding minus the
+    clasp numbers, and the stray rows, which must vanish.
     """
-    rank = word.strands
-    basis = enumerate_basic_commutators(rank)
-    vec = np.zeros(len(basis), dtype=np.int64)
-    probe = BasicCommutator((rank,))
-    vec[basis.index_of(probe)] = 1
-    vec = gamma_apply(word, vec, basis)
 
-    out: dict[tuple[int, ...], int] = {}
-    for k, alpha in enumerate(basis.elements):
-        value = int(vec[k])
-        if alpha == probe:
-            if value != 1:
-                raise CertificationError("probe readout lost the unit coefficient")
-            continue
-        seq = alpha.sequence
-        full = alpha.weight == rank
-        comb_shaped = full and seq[-1] == rank
-        if comb_shaped:
-            if value:
-                out[seq] = -value
-        elif value:
+    unit: tuple[np.ndarray, np.ndarray]
+    combs: tuple[np.ndarray, np.ndarray]
+    claspers: tuple[CombClasper, ...]
+    stray: tuple[np.ndarray, np.ndarray]
+
+
+@lru_cache(maxsize=None)
+def _readout_plan(n: int) -> tuple[_DegreeReadout, ...]:
+    basis = enumerate_basic_commutators(n)
+    plan = []
+    for degree in range(1, n):
+        unit, combs, stray = [], [], []
+        for support in itertools.combinations(range(1, n + 1), degree + 1):
+            col = support[-1] - 2
+            inside = set(support)
+            for k, alpha in enumerate(basis.elements):
+                seq = alpha.sequence
+                if not inside.issuperset(seq):
+                    continue
+                if seq == (support[-1],):
+                    unit.append((k, col))
+                elif len(seq) == len(support) and seq[-1] == support[-1]:
+                    combs.append((seq, k, col))
+                else:
+                    stray.append((k, col))
+        combs.sort()  # degree-lex, the order of the peeled product
+        plan.append(_DegreeReadout(
+            _cells(unit),
+            _cells([cell for _, *cell in combs]),
+            tuple(CombClasper(seq) for seq, *_ in combs),
+            _cells(stray),
+        ))
+    return tuple(plan)
+
+
+def _cells(cells: list) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) pairs as the index arrays of a fancy lookup."""
+    rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    return rows, cols
+
+
+def read_clasp_numbers(n: int, probes: np.ndarray) -> ClaspVector:
+    """The clasp numbers of a pure braid ``b`` from ``gamma(b) @ P``.
+
+    Degree by degree: every support of the degree is read from its probe
+    column (see :class:`_DegreeReadout`), then the degree's ordered comb
+    product is divided out on the left by applying its comb powers with
+    negated exponents to the probes.  When every degree is peeled the
+    probes must be P again.  A readout that breaks any of this raises
+    :class:`CertificationError`.
+    """
+    basis = enumerate_basic_commutators(n)
+    nu: dict[tuple[int, ...], int] = {}
+    for plan in _readout_plan(n):
+        if (probes[plan.unit] != 1).any():
+            raise CertificationError("probe readout lost the unit coefficient")
+        stray = probes[plan.stray] != 0
+        if stray.any():
+            alpha = basis.elements[plan.stray[0][np.flatnonzero(stray)[0]]]
             raise CertificationError(f"probe readout has an unexpected coefficient at {alpha}")
-    return out
+        found = [(c, -int(value)) for c, value in zip(plan.claspers, probes[plan.combs]) if value]
+        if found:
+            nu.update((c.sequence, value) for c, value in found)
+            probes = comb_power_product([(c, -value) for c, value in reversed(found)], n, probes)
+    if not np.array_equal(probes, probe_block(n)):
+        raise CertificationError("the peeled probes are not the probe block")
+    return ClaspVector(n, nu)
 
 
 def extract_clasp_vector(b: BraidWord) -> ClaspVector:
     """The unique clasp numbers of a pure braid.
 
-    Degree by degree: for every support set the strand-forgetting
-    restriction of the residual is probed, the recognised clasp numbers
-    are recorded, and the ordered degree part is divided out on the left
-    before moving on.
+    Applies the braid's matrix once to the probe block and reads the clasp
+    numbers off it with :func:`read_clasp_numbers`; no strand is deleted
+    and no word is built.
     """
     if not b.is_pure():
         raise BraidError("clasp numbers are defined for pure braids only")
     n = b.strands
-    residual = b
-    nu: dict[tuple[int, ...], int] = {}
-    combs = enumerate_comb_claspers(n)
-    for degree in range(1, n):
-        for support in itertools.combinations(range(1, n + 1), degree + 1):
-            restricted = delete_strands(residual, support)
-            found = _probe_coefficients(restricted)
-            for local_seq, value in found.items():
-                global_seq = tuple(support[k - 1] for k in local_seq)
-                nu[global_seq] = value
-        peel = BraidWord.identity(n)
-        for c in combs:
-            if c.degree == degree and nu.get(c.sequence):
-                peel = peel * comb_clasper_braid(c, n) ** nu[c.sequence]
-        residual = compose(invert(peel), residual)
-    return ClaspVector(n, nu)
+    admit_strands(n)
+    probes = gamma_apply(b, probe_block(n), enumerate_basic_commutators(n))
+    return read_clasp_numbers(n, probes)

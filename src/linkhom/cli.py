@@ -7,7 +7,8 @@ suffix.  When ``-n`` is omitted it is inferred as the smallest strand
 count on which the input words parse.
 
 Exit codes: 0 success (also true / Equivalent), 1 false / Distinct,
-2 Unknown, 64 usage error, 65 data error (unreadable or invalid files).
+2 Unknown, 64 usage error, 65 data error (unreadable or invalid files, or
+inputs beyond the admitted size: gamma, braid-eq, clasp and pc refuse n >= 8).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .closure import (
     move_tables,
     partial_conjugate,
 )
-from .gamma import braid_equal_lh, gamma_matrix
+from .gamma import LimitError, admit_strands, braid_equal_lh, gamma_matrix
 from .reduced_free import (
     RankError,
     artin_act,
@@ -169,6 +170,7 @@ def _run(args) -> int:
 
     if args.command == "gamma":
         braid = _braid(args, args.braid)
+        admit_strands(braid.strands)
         matrix = gamma_matrix(braid, enumerate_basic_commutators(braid.strands, args.order))
         payload = matrix.to_json()
         lines = [" ".join(f"{v:4d}" for v in row) for row in payload["rows"]]
@@ -279,6 +281,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"linkhom: {exc}", file=sys.stderr)
         return EX_USAGE
+    except LimitError as exc:
+        print(f"linkhom: {exc}", file=sys.stderr)
+        return EX_DATA
     except (BraidError, RankError) as exc:
         print(f"linkhom: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -4,8 +4,10 @@ Two pure braids close to the same link, up to link-homotopy, exactly when
 a sequence of partial conjugations joins them.  An i-th partial
 conjugation splits a braid as (part not using strand i) * (loop class of
 strand i) and conjugates the second factor by a generator of the free
-part; :func:`partial_conjugate` performs this at the word level and
-re-extracts clasp numbers, with no table input.
+part.  :func:`partial_conjugate` performs this on the probe columns of
+the faithful representation: it applies the comb powers of the moved
+braid to them through cached comb kernels and reads the clasp numbers
+off the result, with no table input and no braid word.
 
 For 4 strands, and for 5 strands when all pairwise degree-1 numbers
 vanish, the effect of every generating partial conjugation on clasp
@@ -42,15 +44,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .braids import BraidError, BraidWord, compose, delete_strand, invert
+from .braids import BraidError, CertificationError
 from .claspers import (
     ClaspVector,
     CombClasper,
-    clasp_vector_to_braid,
-    comb_clasper_braid,
+    comb_power_product,
     enumerate_comb_claspers,
-    extract_clasp_vector,
+    probe_block,
+    read_clasp_numbers,
 )
+from .gamma import admit_strands
 from .intlattice import IntegerLattice, gcd_all, kernel_basis
 
 DEFAULT_BUDGET = 100_000
@@ -225,36 +228,37 @@ def replay_witness(v: ClaspVector, witness: list[Move]) -> ClaspVector:
 
 
 # ---------------------------------------------------------------------------
-# Word-level partial conjugation.
-
-
-def partial_conjugate_word(b: BraidWord, pc: PartialConjugation) -> BraidWord:
-    """The partially conjugated braid word itself (before re-extraction)."""
-    n = b.strands
-    i, j = pc.strand, pc.conjugator
-    if max(i, j) > n:
-        raise BraidError(f"strands ({i},{j}) out of range for a braid on {n} strands")
-    reduced = extract_clasp_vector(delete_strand(b, i))
-    lifted = {
-        tuple(k if k < i else k + 1 for k in seq): value
-        for seq, value in reduced.nu.items()
-    }
-    theta = clasp_vector_to_braid(ClaspVector(n, lifted))
-    omega = compose(invert(theta), b)
-    lam = comb_clasper_braid(CombClasper((min(i, j), max(i, j))), n) ** pc.sign
-    return compose(theta, lam, omega, invert(lam))
+# Partial conjugation on the probe columns.
 
 
 def partial_conjugate(v: ClaspVector, pc: PartialConjugation) -> ClaspVector:
-    """Clasp numbers after an i-th partial conjugation, computed on words.
+    """Clasp numbers after an i-th partial conjugation, for any n.
 
-    Splits the rebuilt braid as theta * omega, with theta the sub-braid not
-    using strand ``pc.strand`` (recovered through strand deletion), wraps
-    omega in the conjugating degree-1 comb braid, and extracts again.
-    Works for any n; no table data involved.
+    With b the comb product of ``v`` and i = ``pc.strand``, the braid splits
+    as theta * (theta^-1 b), theta the sub-braid of the strands other than
+    i.  Forgetting strand i keeps exactly the combs that avoid it, so theta
+    is the comb product of those entries of ``v``.  The moved braid wraps
+    the second factor in lambda, the degree-1 comb of ``pc``:
+    theta lambda theta^-1 b lambda^-1.  Its comb powers are applied to the
+    probe block through the cached comb kernels and the result is read
+    out; no braid word is built and no table is involved.
     """
-    b = clasp_vector_to_braid(v)
-    return extract_clasp_vector(partial_conjugate_word(b, pc))
+    n = v.n
+    i, j = pc.strand, pc.conjugator
+    if max(i, j) > n:
+        raise BraidError(f"strands ({i},{j}) out of range for a braid on {n} strands")
+    admit_strands(n)
+    b = [(c, v.get(c.sequence)) for c in enumerate_comb_claspers(n) if v.get(c.sequence)]
+    theta = [(c, e) for c, e in b if i not in c.sequence]
+    lam = CombClasper((min(i, j), max(i, j)))
+    moved = (
+        theta
+        + [(lam, pc.sign)]
+        + [(c, -e) for c, e in reversed(theta)]
+        + b
+        + [(lam, -pc.sign)]
+    )
+    return read_clasp_numbers(n, comb_power_product(moved, n, probe_block(n)))
 
 
 @lru_cache(maxsize=None)
@@ -269,10 +273,10 @@ def _n3_rows() -> tuple[MoveRow, ...]:
         for source in deg1:
             probe = ClaspVector(3, {source: 1})
             out = partial_conjugate(probe, PartialConjugation(i, j, 1))
-            assert out.degree_part(1) == probe.degree_part(1)
             coeff = out.get((1, 2, 3))
+            if out.degree_part(1) != probe.degree_part(1) or coeff not in (-1, 0, 1):
+                raise CertificationError(f"derived n=3 row ({i},{j}) is not a unit increment")
             if coeff:
-                assert coeff in (1, -1)
                 pairs.append((source, coeff))
         rows.append(
             MoveRow(
@@ -350,7 +354,8 @@ def _sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _certify(v1: ClaspVector, v2: ClaspVector, witness: list[Move]) -> OrbitVerdict:
-    assert replay_witness(v1, witness) == v2, "witness failed to replay"
+    if replay_witness(v1, witness) != v2:
+        raise CertificationError("witness failed to replay")
     return OrbitVerdict(EQUIVALENT, witness)
 
 
@@ -369,7 +374,8 @@ def _decide_n3(v1: ClaspVector, v2: ClaspVector) -> OrbitVerdict:
     incs = [[sum(sign * v1.get(s) for s, sign in dict(row.increments)[(1, 2, 3)])] for row in rows]
     lattice = IntegerLattice(1, incs)
     coeffs = lattice.solve([diff])
-    assert coeffs is not None
+    if coeffs is None:
+        raise CertificationError("triple difference divisible by the gcd has no row combination")
     witness = [
         Move(row.table, row.row, c) for row, c in zip(rows, coeffs) if c
     ]
@@ -450,7 +456,8 @@ def _layered_decision(
     path = [(r, c) for r, c in enumerate(coeffs) if c]
     w = run(state1, path)
     witness = [Move(gen_rows[r].table, gen_rows[r].row, c) for r, c in path]
-    assert w[0] == state2[0]
+    if w[0] != state2[0]:
+        raise CertificationError(f"degree-{mid_degree} lattice solution does not reach the target")
 
     # Free moves: closure-preserving conjugations with invariant sources.
     free_incs = [_increment_vector(row, top_seqs, v1.get) for row in free_rows]
@@ -487,7 +494,8 @@ def _layered_decision(
     lo_lattice = IntegerLattice(len(top_seqs), free_incs)
     for steps in candidate_loops:
         end = run(w, steps)
-        assert end[0] == w[0]
+        if end[0] != w[0]:
+            raise CertificationError(f"a top-degree loop moves the degree-{mid_degree} values")
         change = _sub(end[1], w[1])
         if change not in lo_lattice:
             lo_lattice.add(change)
@@ -520,7 +528,8 @@ def _layered_decision(
                     Move(gen_rows[r].table, gen_rows[r].row, m) for r, m in reps
                 )
         done = finish(state, moves)
-        assert done is not None, "loop-lattice witness failed to close"
+        if done is None:
+            raise CertificationError("loop-lattice witness failed to close")
         return done
 
     # The witness exists but is too long to materialise; fall back to a
@@ -568,7 +577,8 @@ def _layered_decision(
     chain.reverse()
     moves = witness + chain
     done = finish(states[goal], moves)
-    assert done is not None, "goal state does not differ by a free move"
+    if done is None:
+        raise CertificationError("goal state does not differ by a free move")
     return done
 
 

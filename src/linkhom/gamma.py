@@ -25,6 +25,12 @@ they can check each other:
 Equality of the two on every basis element is an acceptance requirement,
 not an implementation detail.
 
+A braid in the d-th lower central series term of the pure braid group,
+such as a comb braid of degree d, has ``gamma(b) = I + N`` with ``N``
+raising weight by at least d; :class:`UnipotentKernel` keeps that ``N``
+sparse and applies any power of ``I + N`` as a short binomial sum, so a
+power costs the same whatever its exponent.
+
 Arithmetic is int64 while a running bound proves it safe and Python
 integers beyond, so all results are exact regardless of word length.
 """
@@ -32,7 +38,8 @@ integers beyond, so all results are exact regardless of word length.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -43,12 +50,41 @@ from .reduced_free import (
     CommutatorBasis,
     RankError,
     artin_act,
+    basis_size_formula,
     commutator_word,
     enumerate_basic_commutators,
     rfg_normal_form,
 )
 
 _INT64_SAFE = 2**62
+# Blocks of at most this many columns are applied as stacked columns by
+# summing runs, wider ones by layers.  Per letter at n = 5: 8 against 31 us
+# at 4 columns, 14 against 47 us at 8; at n = 6 the layers win from about
+# 16 columns on.
+_NARROW = 8
+# The representation is admitted up to 7 strands, a basis of 2372.  At 8
+# strands (16072) one dense matrix alone takes 2 GB.
+MAX_STRANDS = 7
+MAX_BASIS_SIZE = basis_size_formula(MAX_STRANDS)
+
+
+class LimitError(ValueError):
+    """A well-formed input beyond the admitted size of the representation."""
+
+
+def admit_strands(n: int) -> None:
+    """Refuse, before any allocation, a strand count whose basis is too large.
+
+    The basis size grows with n, so past the limit only the first size
+    beyond it is computed: a huge n costs nothing to refuse.
+    """
+    if n > MAX_STRANDS:
+        size = basis_size_formula(MAX_STRANDS + 1)
+        raise LimitError(
+            f"{n} strands need a basis of {'at least ' if n > MAX_STRANDS + 1 else ''}"
+            f"{size} commutators, above the limit of {MAX_BASIS_SIZE} "
+            f"({MAX_STRANDS} strands)"
+        )
 
 
 def _max_abs(a: np.ndarray) -> int:
@@ -57,26 +93,110 @@ def _max_abs(a: np.ndarray) -> int:
     return int(np.max(np.abs(a)))
 
 
+def _bound(x: np.ndarray) -> int | None:
+    """``max|x|`` for int64, None for Python integers (no bound needed)."""
+    return None if x.dtype == object else _max_abs(x)
+
+
+def _headroom(x: np.ndarray, bound: int | None, factor: int) -> tuple[np.ndarray, int | None]:
+    """Prepare ``x`` for a step that multiplies ``max|x|`` by at most ``factor``.
+
+    ``bound`` is a known bound of ``max|x|`` (see :func:`_bound`); the
+    returned bound covers the step's result and every partial sum in it.
+    ``x`` stays int64 while that bound is below 2**62, rescanning ``x`` once
+    the running product gets there, and turns into Python integers (bound
+    None) if the rescan does not help.
+    """
+    if bound is None:
+        return x, None
+    bound *= factor
+    if bound >= _INT64_SAFE:
+        bound = _max_abs(x) * factor
+        if bound >= _INT64_SAFE:
+            return x.astype(object), None
+    return x, bound
+
+
+def _stack(x: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """A vector or narrow block as one vector, its columns end to end, and
+    its width; a wide block stays as it is, with width None."""
+    if x.ndim == 1:
+        return x, 1
+    if x.shape[1] <= _NARROW:
+        return x.T.ravel(), x.shape[1]
+    return x, None
+
+
+def _unstack(x: np.ndarray, shape: tuple[int, ...], width: int | None) -> np.ndarray:
+    return x if width is None else x.reshape(shape[::-1]).T
+
+
+@dataclass(frozen=True, eq=False)
+class _Runs:
+    """A sparse matrix as runs of its nonzero rows, applied to stacked columns.
+
+    Row ``rows[k]`` holds ``coeffs`` at ``cols`` from ``starts[k]`` to the
+    next start.  ``M @ x`` for ``width`` columns stacked end to end is one
+    gather, scale and run sum over the entries repeated once per column
+    (cached per width), so a narrow block costs about what a vector does.
+    """
+
+    size: int
+    rows: np.ndarray
+    starts: np.ndarray
+    cols: np.ndarray
+    coeffs: np.ndarray
+    tiles: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def of_entries(cls, size: int, rows: np.ndarray, cols: np.ndarray, coeffs: np.ndarray) -> _Runs:
+        """From entries listed row by row (``np.nonzero`` order)."""
+        kept, starts = np.unique(rows, return_index=True)
+        for a in (kept, starts, cols, coeffs):
+            a.flags.writeable = False
+        return cls(size, kept, starts, cols, coeffs)
+
+    def _tile(self, width: int) -> tuple[np.ndarray, ...]:
+        tile = self.tiles.get(width)
+        if tile is None:
+            shift = np.arange(width)[:, None]
+            tile = (
+                (self.rows + self.size * shift).ravel(),
+                (self.starts + len(self.cols) * shift).ravel(),
+                (self.cols + self.size * shift).ravel(),
+                np.tile(self.coeffs, width),
+            )
+            self.tiles[width] = tile
+        return tile
+
+    def apply(self, x: np.ndarray, width: int) -> np.ndarray:
+        """``M @ x`` for ``x`` holding ``width`` stacked columns."""
+        rows, starts, cols, coeffs = self._tile(width)
+        sums = np.add.reduceat(coeffs * x[cols], starts) if len(cols) else x[:0]
+        if len(rows) == len(x):
+            return sums
+        out = np.zeros(x.shape, x.dtype)
+        out[rows] = sums
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorKernel:
     """One generator matrix ``G`` in dense and gather-scatter form (read-only).
 
-    The nonzero entries of ``G`` are listed row by row in ``cols`` and
-    ``coeffs``; row ``r``'s run starts at ``starts[r]``.  ``G @ v`` for a
-    vector gathers ``v`` at ``cols``, scales by ``coeffs`` and sums each
-    run.  ``G @ M`` for a matrix goes by layers instead, because summing
-    runs of matrix rows is slow: layer k holds the k-th entry of every row
-    that has one, so its rows are distinct and one gather, scale and
-    scatter-add applies it.  The first layer covers every row in order.
-    ``x`` may hold int64 or Python integers.  ``row_sum`` is the largest
-    absolute row sum of ``G``, so ``max|G @ x| <= row_sum * max|x|``, and
-    no partial sum exceeds that bound either.
+    ``runs`` lists the nonzero entries of ``G`` row by row; ``G @ x`` for a
+    vector or a narrow block, stacked into one vector (see :func:`_stack`),
+    sums them run by run.  A wide block goes by layers instead, because
+    gathering whole long rows is slow: layer k holds the k-th entry of
+    every row that has one, so its rows are distinct and one gather, scale
+    and scatter-add applies it.  The first layer covers every row in
+    order.  ``x`` may hold int64 or Python integers.  ``row_sum`` is the
+    largest absolute row sum of ``G``, so ``max|G @ x| <= row_sum * max|x|``,
+    and no partial sum exceeds that bound either.
     """
 
     dense: np.ndarray
-    starts: np.ndarray
-    cols: np.ndarray
-    coeffs: np.ndarray
+    runs: _Runs
     layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     row_sum: int
 
@@ -88,24 +208,110 @@ class GeneratorKernel:
             raise CertificationError("generator matrix has a zero row")
         rows, cols = np.nonzero(g)
         coeffs = g[rows, cols]
-        starts = np.searchsorted(rows, np.arange(len(g)))
-        rank = np.arange(len(rows)) - starts[rows]
+        runs = _Runs.of_entries(len(g), rows, cols, coeffs)
+        rank = np.arange(len(rows)) - runs.starts[rows]
         layers = tuple(
             (rows[rank == k], cols[rank == k], coeffs[rank == k, None])
             for k in range(int(rank.max()) + 1)
         )
-        for a in (g, starts, cols, coeffs, *itertools.chain(*layers)):
+        for a in (g, *itertools.chain(*layers)):
             a.flags.writeable = False
-        return cls(g, starts, cols, coeffs, layers, int(np.abs(g).sum(axis=1).max()))
+        return cls(g, runs, layers, int(np.abs(g).sum(axis=1).max()))
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, width: int = 1) -> np.ndarray:
+        """``G @ x`` for a wide block, or for ``width`` columns stacked in a vector."""
         if x.ndim == 1:
-            return np.add.reduceat(self.coeffs * x[self.cols], self.starts)
+            return self.runs.apply(x, width)
         (_, cols, coeffs), *rest = self.layers
         out = coeffs * x[cols]
         for rows, cols, coeffs in rest:
             out[rows] += coeffs * x[cols]
         return out
+
+
+def _binomial(e: int, j: int) -> int:
+    """``C(e, j)`` for any integer ``e``: the coefficient of ``t^j`` in ``(1 + t)^e``."""
+    out = 1
+    for k in range(j):
+        out *= e - k
+    return out // math.factorial(j)
+
+
+@dataclass(frozen=True, eq=False)
+class UnipotentKernel:
+    """``gamma(b) = I + N`` for a braid ``b`` whose ``N`` raises weight by ``reach``.
+
+    A braid in the d-th lower central series term of the pure braid group
+    sends each generator of RF_n to itself times commutators of weight at
+    least d + 1, so ``N`` sends weight w to weights w + d and up; a comb
+    braid of degree d is such a braid.  ``N^(depth + 1) = 0`` with
+    ``depth = (n - 1) // reach``, and only the columns of weight at most
+    ``n - reach`` can be nonzero, so only those are computed (and checked
+    to raise weight).  ``N`` is kept only as runs of its nonzero rows;
+    ``row_sum`` is its largest absolute row sum.
+    """
+
+    depth: int
+    runs: _Runs
+    row_sum: int
+
+    @classmethod
+    def of_word(cls, b: BraidWord, reach: int, basis: CommutatorBasis) -> UnipotentKernel:
+        n, m = basis.rank, len(basis)
+        if not 1 <= reach < n:
+            raise BraidError(f"weight reach {reach} out of range for {n} strands")
+        width = basis.weight_range(n - reach + 1).start
+        weights = np.array([alpha.weight for alpha in basis.elements])
+        identity = np.eye(m, width, dtype=np.int64)
+        nil = gamma_apply(b, identity, basis) - identity
+        rows, cols = np.nonzero(nil)
+        if (weights[rows] < weights[cols] + reach).any():
+            raise CertificationError(f"gamma(b) - I does not raise weight by {reach}")
+        runs = _Runs.of_entries(m, rows, cols, nil[rows, cols])
+        row_sum = int(np.add.reduceat(np.abs(runs.coeffs), runs.starts).max()) if len(rows) else 0
+        return cls((n - 1) // reach, runs, row_sum)
+
+    def power(
+        self, x: np.ndarray, width: int, e: int, bound: int | None
+    ) -> tuple[np.ndarray, int | None]:
+        """``(I + N)^e @ x`` as ``sum_j C(e, j) N^j x``, exactly.
+
+        ``x`` holds ``width`` stacked columns and ``bound`` bounds
+        ``max|x|``; the returned bound covers the result (see
+        :func:`_headroom`).  The sum stops at the first vanishing term; a
+        term past ``depth`` that does not vanish is a defect.  For e > 0 the
+        binomials vanish past e, so the sum stops there.
+        """
+        if e == 0:
+            return x, bound
+        last = min(self.depth, e) if e > 0 else self.depth
+        binomials = [_binomial(e, j) for j in range(1, last + 1)]
+        factor = 1 + sum(
+            max(1, abs(c)) * self.row_sum**j for j, c in enumerate(binomials, start=1)
+        )
+        x, bound = _headroom(x, bound, factor)
+        out = term = x
+        for c in binomials:
+            term = self.runs.apply(term, width)
+            if not term.any():
+                return out, bound
+            out = out + c * term
+        if last == self.depth and self.runs.apply(term, width).any():
+            raise CertificationError(f"N^{self.depth + 1} does not vanish")
+        return out, bound
+
+
+def apply_power_product(
+    factors: list[tuple[UnipotentKernel, int]], x: np.ndarray
+) -> np.ndarray:
+    """``gamma(b_1^e_1 .. b_k^e_k) @ x`` from the kernels of the ``b_i``, last first."""
+    shape = x.shape
+    width = shape[1] if x.ndim == 2 else 1
+    x = x.T.ravel()
+    bound = _bound(x)
+    for kernel, e in reversed(factors):
+        x, bound = kernel.power(x, width, e, bound)
+    return _unstack(x, shape, width)
 
 
 @dataclass(frozen=True)
@@ -202,6 +408,7 @@ def generator_matrix(n: int, i: int, sign: int, order: str = "weight-lex") -> Ge
     """
     if not 1 <= i <= n - 1:
         raise BraidError(f"generator index {i} out of range for {n} strands")
+    admit_strands(n)
     if sign == 1:
         return GeneratorKernel.from_dense(closed_form_generator_matrix(n, i, order))
     if sign != -1:
@@ -219,22 +426,19 @@ def _apply_word(b: BraidWord, x: np.ndarray, order: str) -> np.ndarray:
     bound reaches 2**62, ``x`` is scanned again; if the bound is still that
     large, the rest of the word runs on Python integers.
     """
-    escalated = x.dtype == object
-    bound = 0 if escalated else _max_abs(x)
+    shape = x.shape
+    x, width = _stack(x)
+    bound = _bound(x)
     for i, sign in reversed(b.letters):
         kernel = generator_matrix(b.strands, i, sign, order)
-        if not escalated:
-            bound *= kernel.row_sum
-            if bound >= _INT64_SAFE:
-                bound = _max_abs(x) * kernel.row_sum
-                if bound >= _INT64_SAFE:
-                    x, escalated = x.astype(object), True
-        x = kernel.apply(x)
-    return x
+        x, bound = _headroom(x, bound, kernel.row_sum)
+        x = kernel.apply(x, width)
+    return _unstack(x, shape, width)
 
 
 def gamma_matrix(b: BraidWord, basis: CommutatorBasis | None = None) -> GammaMatrix:
     """Matrix of a braid word: product of the generator matrices in word order."""
+    admit_strands(b.strands)
     if basis is None:
         basis = enumerate_basic_commutators(b.strands)
     if basis.rank != b.strands:

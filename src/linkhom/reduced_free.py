@@ -38,9 +38,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .braids import BraidWord, BraidError
+from .braids import BraidError, BraidWord, CertificationError, free_reduce
 
 Monomial = tuple[int, ...]
 Letter = tuple[int, int]
@@ -48,16 +48,6 @@ Letter = tuple[int, int]
 
 class RankError(ValueError):
     """Operands live over different ranks, or an index is out of range."""
-
-
-def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    stack: list[Letter] = []
-    for idx, sign in letters:
-        if stack and stack[-1][0] == idx and stack[-1][1] == -sign:
-            stack.pop()
-        else:
-            stack.append((idx, sign))
-    return tuple(stack)
 
 
 @dataclass(frozen=True)
@@ -87,11 +77,11 @@ class ReducedWord:
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
         if self.rank != other.rank:
             raise RankError(f"rank mismatch: {self.rank} != {other.rank}")
-        return ReducedWord(self.rank, _free_reduce(self.letters + other.letters))
+        return ReducedWord(self.rank, free_reduce(self.letters + other.letters))
 
     def __pow__(self, exponent: int) -> "ReducedWord":
         word = self if exponent >= 0 else self.inverse()
-        return ReducedWord(self.rank, _free_reduce(word.letters * abs(exponent)))
+        return ReducedWord(self.rank, free_reduce(word.letters * abs(exponent)))
 
     def inverse(self) -> "ReducedWord":
         return ReducedWord(self.rank, tuple((i, -s) for i, s in reversed(self.letters)))
@@ -432,7 +422,7 @@ def rfg_normal_form(w: ReducedWord, basis: CommutatorBasis | None = None) -> Exp
     Weight peeling on the Magnus expansion: at weight t the coefficient of
     X^alpha is read off for every weight-t basis element, then the series
     of the ordered weight-t product is divided out on the left and the next
-    weight is processed.  The final residual must be 1; this is asserted.
+    weight is processed.  The final residual must be 1; this is checked.
     """
     if basis is None:
         basis = enumerate_basic_commutators(w.rank)
@@ -453,7 +443,8 @@ def rfg_normal_form(w: ReducedWord, basis: CommutatorBasis | None = None) -> Exp
         if peel.is_one():
             continue
         residual = series_multiply(series_invert(peel), residual)
-    assert residual.is_one(), "peeling left a nontrivial residual series"
+    if not residual.is_one():
+        raise CertificationError("peeling left a nontrivial residual series")
     return ExponentVector(basis, tuple(values))
 
 
@@ -499,5 +490,5 @@ def artin_act(b: BraidWord, w: ReducedWord) -> ReducedWord:
         out: list[Letter] = []
         for k, s in letters:
             out.extend(_act_letter(i, sign, k, s))
-        letters = _free_reduce(out)
+        letters = free_reduce(out)
     return ReducedWord(w.rank, letters)

@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from linkhom import gamma
 from linkhom.braids import (
     BraidError,
     BraidWord,
@@ -9,19 +12,22 @@ from linkhom.braids import (
     parse_braid_word,
     pure_generator_word,
 )
-from linkhom import claspers
 from linkhom.claspers import (
     ClaspVector,
     CombClasper,
-    _probe_coefficients,
     clasp_vector_to_braid,
     comb_clasper_braid,
+    comb_kernel,
+    comb_power_product,
     enumerate_comb_claspers,
     extract_clasp_vector,
+    probe_block,
+    read_clasp_numbers,
 )
-from linkhom.gamma import braid_equal_lh, gamma_matrix
-from linkhom.reduced_free import BasicCommutator
+from linkhom.gamma import braid_equal_lh, gamma_apply, gamma_matrix
+from linkhom.reduced_free import BasicCommutator, enumerate_basic_commutators
 from conftest import random_clasp_vector, random_pure_braid
+from word_oracle import word_extract_clasp_vector
 
 
 def test_comb_clasper_validation():
@@ -80,15 +86,33 @@ def test_probe_identity(n):
         }
 
 
-def test_probe_readout_certification(monkeypatch):
-    # A_23 lacks strand 1: it sends (3) to (3) - (23), off the full support
-    with pytest.raises(CertificationError, match="unexpected coefficient"):
-        _probe_coefficients(pure_generator_word(3, 2, 3))
-    # a matrix-vector product that doubles its result loses the unit
-    doubled = claspers.gamma_apply
-    monkeypatch.setattr(claspers, "gamma_apply", lambda *args: 2 * doubled(*args))
+def _probes(word):
+    basis = enumerate_basic_commutators(word.strands)
+    return gamma_apply(word, probe_block(word.strands), basis)
+
+
+def test_probe_readout_certification():
+    word = clasp_vector_to_braid(ClaspVector(3, {(1, 2): 1, (2, 3): -2, (1, 2, 3): 1}))
+    probes = _probes(word)
+    assert read_clasp_numbers(3, probes) == extract_clasp_vector(word)
+    basis = enumerate_basic_commutators(3)
+    # a doubled block loses the unit coefficient of the probe (3)
     with pytest.raises(CertificationError, match="unit coefficient"):
-        _probe_coefficients(pure_generator_word(3, 1, 3))
+        read_clasp_numbers(3, 2 * probes)
+    # (1,3) in the column of (3) is read with support {1, 3}, where it is
+    # the comb row; (1,2) there lies inside support {1, 2, 3} but is no comb
+    stray = probes.copy()
+    stray[basis.index_of(BasicCommutator((1, 2))), 1] += 1
+    with pytest.raises(CertificationError, match=r"unexpected coefficient at \(1,2\)"):
+        read_clasp_numbers(3, stray)
+    # a coefficient that no support reads is caught once every degree is peeled
+    unread = probes.copy()
+    unread[basis.index_of(BasicCommutator((1, 3))), 0] += 1
+    with pytest.raises(CertificationError, match="not the probe block"):
+        read_clasp_numbers(3, unread)
+    # the block of a non-pure braid has the wrong weight-one part
+    with pytest.raises(CertificationError, match="unit coefficient"):
+        read_clasp_numbers(3, _probes(parse_braid_word("s2", 3)))
 
 
 def test_clasp_vector_normalisation_and_json():
@@ -111,6 +135,7 @@ def test_build_zero_and_power():
 def test_extract_examples():
     assert extract_clasp_vector(parse_braid_word("s1 s1", 2)).nu == {(1, 2): 1}
     assert extract_clasp_vector(BraidWord.identity(4)).nu == {}
+    assert extract_clasp_vector(BraidWord.identity(1)).nu == {}  # empty probe block
     borromean = comb_clasper_braid(CombClasper((1, 2, 3)), 3)
     assert extract_clasp_vector(borromean).nu == {(1, 2, 3): 1}
 
@@ -181,10 +206,10 @@ def test_degree_one_values_are_linking_numbers(rng):
 def test_strand_deletion_projects_extraction(rng):
     # forgetting a strand and extracting equals restricting the extraction
     # to combs avoiding that strand (with indices renumbered)
-    for _ in range(8):
-        v = random_clasp_vector(rng, 4)
+    for n in [4] * 8 + [5] * 3:
+        v = random_clasp_vector(rng, n)
         word = clasp_vector_to_braid(v)
-        for s in (1, 2, 3, 4):
+        for s in range(1, n + 1):
             reduced = extract_clasp_vector(delete_strand(word, s))
             expected = {}
             for seq, value in v.nu.items():
@@ -192,3 +217,66 @@ def test_strand_deletion_projects_extraction(rng):
                     continue
                 expected[tuple(k if k < s else k - 1 for k in seq)] = value
             assert reduced.nu == expected
+
+
+@st.composite
+def pure_braids(draw):
+    n = draw(st.integers(2, 5))
+    word = BraidWord.identity(n)
+    for _ in range(draw(st.integers(0, 4 if n == 5 else 8))):
+        i = draw(st.integers(1, n - 1))
+        j = draw(st.integers(i + 1, n))
+        word = word * pure_generator_word(n, i, j) ** draw(st.sampled_from((1, -1)))
+    return word
+
+
+@settings(max_examples=40, deadline=None)
+@given(pure_braids())
+def test_extraction_matches_word_oracle(word):
+    assert extract_clasp_vector(word) == word_extract_clasp_vector(word)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_comb_power_matches_word_power(data):
+    n = data.draw(st.integers(2, 5))
+    c = data.draw(st.sampled_from(enumerate_comb_claspers(n)))
+    e = data.draw(st.integers(-3, 3))
+    basis = enumerate_basic_commutators(n)
+    size = len(basis) * 2
+    entries = st.lists(st.integers(-100, 100), min_size=size, max_size=size)
+    x = np.array(data.draw(entries), dtype=np.int64).reshape(len(basis), 2)
+    moved = comb_power_product([(c, e)], n, x)
+    assert np.array_equal(moved, gamma_apply(comb_clasper_braid(c, n) ** e, x, basis))
+    assert np.array_equal(comb_power_product([(c, e), (c, -e)], n, x), x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_comb_kernel_is_the_full_matrix(n):
+    # the kernel computes only the columns of weight <= n - degree; the
+    # columns it leaves out must be those of the identity
+    basis = enumerate_basic_commutators(n)
+    eye = np.eye(len(basis), dtype=np.int64)
+    for c in enumerate_comb_claspers(n):
+        matrix = gamma_matrix(comb_clasper_braid(c, n)).matrix
+        assert np.array_equal(comb_power_product([(c, 1)], n, eye), matrix)
+        kernel = comb_kernel(c, n)
+        assert kernel.depth == (n - 1) // c.degree
+        assert kernel.runs.cols.max() < basis.weight_range(n - c.degree + 1).start
+
+
+def test_escalation_matches_int64(monkeypatch):
+    # with a low threshold the probe block and the comb powers switch to
+    # Python integers partway; the clasp numbers must not change
+    from linkhom.closure import PartialConjugation, partial_conjugate
+
+    v = ClaspVector(4, {(1, 2): 3, (2, 4): -2, (1, 2, 3): 3, (1, 3, 4): -1, (1, 3, 2, 4): 2})
+    pc = PartialConjugation(2, 3, -1)
+    word = clasp_vector_to_braid(v) ** 2
+    expect_extract, expect_pc = extract_clasp_vector(word), partial_conjugate(v, pc)
+    assert expect_extract.get((1, 2)) == 6
+    monkeypatch.setattr(gamma, "_INT64_SAFE", 2**4)
+    probes = comb_power_product([(CombClasper((1, 2)), 5)], 4, probe_block(4))
+    assert probes.dtype == object
+    assert extract_clasp_vector(word) == expect_extract
+    assert partial_conjugate(v, pc) == expect_pc

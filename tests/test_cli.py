@@ -154,3 +154,19 @@ def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "tables", "--format", "json")
     _, out2, _ = run(capsys, "tables", "--format", "json")
     assert out1 == out2
+
+
+def test_eight_strands_refused_before_allocation(capsys, tmp_path):
+    # the basis at n = 8 has 16072 commutators, past the limit of 2372
+    vector = tmp_path / "v8.json"
+    vector.write_text(json.dumps({"n": 8, "nu": {"1.2": 1}}))
+    for argv in (
+        ("gamma", "-n", "8", "s1"),
+        ("braid-eq", "-n", "8", "s1", "s1"),
+        ("clasp", "-n", "8", "a1,2"),
+        ("pc", str(vector), "-i", "1", "-j", "2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 65
+        assert out == ""
+        assert "16072" in err and "limit of 2372" in err

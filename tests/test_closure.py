@@ -1,9 +1,15 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from linkhom.braids import BraidError
-from linkhom.claspers import ClaspVector
+from linkhom.braids import BraidError, CertificationError
+from linkhom.claspers import ClaspVector, enumerate_comb_claspers
 from linkhom.closure import (
     DISTINCT,
     EQUIVALENT,
@@ -18,11 +24,13 @@ from linkhom.closure import (
     move_tables,
     partial_conjugate,
     replay_witness,
+    _certify,
     _degree_seqs,
     _increment_vector,
 )
 from linkhom.intlattice import IntegerLattice
 from conftest import random_clasp_vector
+from word_oracle import word_partial_conjugate
 
 TABLES = move_tables()
 
@@ -169,9 +177,54 @@ def test_word_level_matches_table_exactly_when_no_junk():
     # with every closure-move source zero the two computations must agree
     # on the nose
     v = ClaspVector(4, {(1, 2, 3): 2, (1, 3, 4): -1, (1, 2, 3, 4): 1})
+    # the same vector scaled by 10^6: a braid word would have ~10^7 letters
+    big = ClaspVector(4, {seq: 10**6 * value for seq, value in v.nu.items()})
     for row in TABLES["n4-partial-conjugations"]:
         i, j, sign = row.pc
-        assert partial_conjugate(v, PartialConjugation(i, j, sign)) == apply_table_move(v, row, 1)
+        for w in (v, big):
+            moved = partial_conjugate(w, PartialConjugation(i, j, sign))
+            assert moved == apply_table_move(w, row, 1)
+
+
+def test_split_n5_large_band_matches_table():
+    # clasp numbers near 10^6, far beyond what a braid word can hold
+    rng = random.Random(0x5A1)
+    for _ in range(5):
+        v = random_clasp_vector(rng, 5, bound=10**6, min_degree=2)
+        for row in TABLES["n5-split-generating"]:
+            moved = partial_conjugate(v, PartialConjugation(*row.pc))
+            table = apply_table_move(v, row, 1)
+            for degree in (1, 2, 3):
+                assert moved.degree_part(degree) == table.degree_part(degree)
+
+
+@st.composite
+def conjugations(draw):
+    n = draw(st.integers(3, 5))
+    nu = {
+        c.sequence: draw(st.integers(-3, 3))
+        for c in enumerate_comb_claspers(n)
+    }
+    i, j = draw(st.permutations(range(1, n + 1)))[:2]
+    return ClaspVector(n, nu), PartialConjugation(i, j, draw(st.sampled_from((1, -1))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugations())
+def test_partial_conjugate_matches_word_oracle(case):
+    v, pc = case
+    assert partial_conjugate(v, pc) == word_partial_conjugate(v, pc)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_every_partial_conjugation_matches_word_oracle(n):
+    v = random_clasp_vector(random.Random(n), n, bound=3)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for sign in (1, -1):
+                if i != j:
+                    pc = PartialConjugation(i, j, sign)
+                    assert partial_conjugate(v, pc) == word_partial_conjugate(v, pc)
 
 
 def test_generating_rows_are_signed_pc_rows():
@@ -345,6 +398,33 @@ def test_verdict_symmetry(rng):
         s1 = closure_equivalent(v, w).status
         s2 = closure_equivalent(w, v).status
         assert s1 == s2
+
+
+def test_certify_refuses_a_witness_that_does_not_replay():
+    v = ClaspVector(4, {(1, 2): 1})
+    with pytest.raises(CertificationError, match="failed to replay"):
+        _certify(v, v, [Move("n4-closure-moves", 1, 1)])
+
+
+def test_certificates_survive_optimized_mode():
+    # python -O strips assert statements; the certificate must still raise
+    code = (
+        "from linkhom.closure import Move, _certify\n"
+        "from linkhom.claspers import ClaspVector\n"
+        "from linkhom.braids import CertificationError\n"
+        "assert False, 'assert statements run'\n"
+        "v = ClaspVector(4, {(1, 2): 1})\n"
+        "try:\n"
+        "    _certify(v, v, [Move('n4-closure-moves', 1, 1)])\n"
+        "except CertificationError:\n"
+        "    print('refused')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "refused"
 
 
 def test_errors():

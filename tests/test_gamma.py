@@ -340,6 +340,30 @@ def test_sparse_kernel_matches_dense_chain(word, order, data):
     assert np.array_equal(gamma_apply(word, vec, basis), sparse.astype(object) @ vec.astype(object))
 
 
+@settings(max_examples=30, deadline=None)
+@given(braid_words(max_letters=20), st.integers(1, 12), st.data())
+def test_blocks_of_every_width_match_the_matrix(word, width, data):
+    # narrow blocks go through stacked columns, wide ones through layers
+    basis = enumerate_basic_commutators(word.strands)
+    entries = st.lists(st.integers(-50, 50), min_size=len(basis) * width,
+                       max_size=len(basis) * width)
+    block = np.array(data.draw(entries), dtype=np.int64).reshape(len(basis), width)
+    expect = gamma_matrix(word).matrix @ block
+    assert np.array_equal(gamma_apply(word, block, basis), expect)
+
+
+def test_admission_limit():
+    from linkhom.gamma import LimitError, MAX_BASIS_SIZE, admit_strands
+
+    assert MAX_BASIS_SIZE == 2372
+    admit_strands(7)
+    for n in (8, 9, 10**9):
+        with pytest.raises(LimitError, match="limit of 2372"):
+            admit_strands(n)
+    with pytest.raises(LimitError, match="16072"):
+        gamma_matrix(BraidWord.identity(8))
+
+
 def test_escalation_partway_matches_int64(monkeypatch):
     # with a low threshold both routes start in int64 and switch to Python
     # integers partway through the word; the values must not change
