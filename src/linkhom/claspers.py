@@ -44,8 +44,14 @@ from .braids import (
     invert,
     pure_generator_word,
 )
-from .gamma import UnipotentKernel, admit_strands, apply_power_product, gamma_apply
-from .reduced_free import BasicCommutator, enumerate_basic_commutators
+from .gamma import (
+    UnipotentKernel,
+    admit_strands,
+    apply_power_product,
+    gamma_apply,
+    probe_block,
+)
+from .reduced_free import enumerate_basic_commutators
 
 CLASP_ORDER = "degree-lex"
 
@@ -191,6 +197,8 @@ class ClaspVector:
             }
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise BraidError(f"invalid clasp vector object: {exc}") from exc
+        # before anything enumerates combs: there are ~10^7 at 12 strands
+        admit_strands(n)
         return cls(n, nu, order)
 
 
@@ -214,17 +222,6 @@ def comb_kernel(c: CombClasper, n: int) -> UnipotentKernel:
 def comb_power_product(factors: list[tuple[CombClasper, int]], n: int, x: np.ndarray) -> np.ndarray:
     """gamma(c_1^e_1 .. c_k^e_k) @ x for comb braids c_i on n strands (exact)."""
     return apply_power_product([(comb_kernel(c, n), e) for c, e in factors], x)
-
-
-@lru_cache(maxsize=None)
-def probe_block(n: int) -> np.ndarray:
-    """The weight-one basis columns of strands 2..n: the probe block P (read-only)."""
-    basis = enumerate_basic_commutators(n)
-    block = np.zeros((len(basis), n - 1), dtype=np.int64)
-    for col, m in enumerate(range(2, n + 1)):
-        block[basis.index_of(BasicCommutator((m,))), col] = 1
-    block.flags.writeable = False
-    return block
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ count on which the input words parse.
 
 Exit codes: 0 success (also true / Equivalent), 1 false / Distinct,
 2 Unknown, 64 usage error, 65 data error (unreadable or invalid files, or
-inputs beyond the admitted size: gamma, braid-eq, clasp and pc refuse n >= 8).
+inputs beyond the admitted size: gamma, braid-eq, clasp, build, pc and
+closure-eq refuse n >= 8).
 """
 
 from __future__ import annotations
@@ -143,17 +144,15 @@ def _run(args) -> int:
         return EX_OK
 
     if args.command == "magnus":
-        n = args.strands if args.strands is not None else _infer_rank(args.word)
-        series = magnus_expand(parse_reduced_word(args.word, n))
+        series = magnus_expand(parse_reduced_word(args.word, args.strands))
         payload = series.to_json()
         lines = [f"{key or '1'}: {value}" for key, value in payload["coefficients"].items()]
         _emit(args, payload, lines)
         return EX_OK
 
     if args.command == "nf":
-        n = args.strands if args.strands is not None else _infer_rank(args.word)
-        basis = enumerate_basic_commutators(n, args.order)
-        vec = rfg_normal_form(parse_reduced_word(args.word, n), basis)
+        word = parse_reduced_word(args.word, args.strands)
+        vec = rfg_normal_form(word, enumerate_basic_commutators(word.rank, args.order))
         payload = vec.to_json()
         lines = [f"{key}: {value}" for key, value in payload["coefficients"].items()]
         _emit(args, payload, lines or ["(identity)"])
@@ -163,7 +162,7 @@ def _run(args) -> int:
         braid_text, word_text = args.braid, args.word
         n = args.strands
         if n is None:
-            n = max(infer_strands(braid_text), _infer_rank(word_text))
+            n = max(infer_strands(braid_text), parse_reduced_word(word_text).rank)
         image = artin_act(parse_braid_word(braid_text, n), parse_reduced_word(word_text, n))
         _emit(args, {"rank": n, "word": str(image)}, [str(image) or "(identity)"])
         return EX_OK
@@ -260,17 +259,6 @@ def _run(args) -> int:
         return EX_OK
 
     raise _UsageError(f"unknown command {args.command!r}")
-
-
-def _infer_rank(word_text: str) -> int:
-    best = 1
-    for token in word_text.split():
-        body = token.split("^")[0]
-        if body.startswith("x") and body[1:].isdigit():
-            best = max(best, int(body[1:]))
-        else:
-            raise _UsageError(f"malformed token {token!r}")
-    return best
 
 
 def main(argv: list[str] | None = None) -> int:

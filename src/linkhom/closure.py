@@ -50,10 +50,9 @@ from .claspers import (
     CombClasper,
     comb_power_product,
     enumerate_comb_claspers,
-    probe_block,
     read_clasp_numbers,
 )
-from .gamma import admit_strands
+from .gamma import admit_strands, probe_block
 from .intlattice import IntegerLattice, gcd_all, kernel_basis
 
 DEFAULT_BUDGET = 100_000

@@ -16,14 +16,21 @@ they can check each other:
   signed sum over reversed subsequences when i leads and i+1 follows.
   This is the production route: :func:`generator_matrix` builds sigma_i
   from it, derives sigma_i^-1 exactly, and caches both as sparse
-  gather-scatter kernels that :func:`gamma_matrix` and
-  :func:`gamma_apply` apply letter by letter;
+  gather-scatter kernels that :func:`gamma_apply` applies letter by
+  letter;
 * the definitional route (:func:`gamma_matrix_definitional`): act on each
   basis commutator word, then take the normal form; it is the oracle the
   tests compare the closed form against.
 
 Equality of the two on every basis element is an acceptance requirement,
 not an implementation detail.
+
+Equality of braids (:func:`braid_equal_lh`) is decided on the probe
+block ``P = [(2) .. (n)]`` of weight-one columns alone: its weight-one
+rows fix the permutation, and for a pure braid ``gamma(b) @ P`` fixes
+the clasp numbers, a complete invariant.  The full matrix
+(:func:`gamma_matrix`) is formed only for ``linkhom gamma`` and as the
+test oracle.
 
 A braid in the d-th lower central series term of the pure braid group,
 such as a comb braid of degree d, has ``gamma(b) = I + N`` with ``N``
@@ -348,15 +355,6 @@ class GammaMatrix:
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.matrix, np.eye(len(self.basis), dtype=self.matrix.dtype)))
 
-    def as_map(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
-        """Entries keyed by (row sequence, column sequence): order-free form."""
-        out = {}
-        rows, cols = np.nonzero(self.matrix)
-        for r, c in zip(rows, cols):
-            key = (self.basis.elements[r].sequence, self.basis.elements[c].sequence)
-            out[key] = int(self.matrix[r, c])
-        return out
-
     def to_json(self) -> dict:
         return {
             "basis_order": [a.key() for a in self.basis.elements],
@@ -470,11 +468,40 @@ def gamma_apply(b: BraidWord, vector: np.ndarray, basis: CommutatorBasis) -> np.
     return _apply_word(b, np.asarray(vector), basis.order)
 
 
+@lru_cache(maxsize=None)
+def probe_block(n: int) -> np.ndarray:
+    """The weight-one basis columns of strands 2..n: the probe block P (read-only)."""
+    basis = enumerate_basic_commutators(n)
+    block = np.zeros((len(basis), n - 1), dtype=np.int64)
+    for col, m in enumerate(range(2, n + 1)):
+        block[basis.index_of(BasicCommutator((m,))), col] = 1
+    block.flags.writeable = False
+    return block
+
+
 def braid_equal_lh(a: BraidWord, b: BraidWord) -> bool:
-    """Link-homotopy equality of braids, decided by the faithful representation."""
+    """Link-homotopy equality of braids, decided on the probe block P.
+
+    ``a`` and ``b`` are equal exactly when ``gamma(a) @ P`` and
+    ``gamma(b) @ P`` are, so no square matrix is formed:
+
+    * the weight-one rows of ``gamma(x) @ P`` show where x sends strands
+      2..n, which fixes its permutation; so equal blocks mean equal
+      permutations, and ``b^-1 a`` is pure;
+    * then ``gamma(b^-1 a) @ P = P``, and the clasp numbers of a pure braid
+      are a function of that block alone
+      (:func:`linkhom.claspers.read_clasp_numbers`); so ``b^-1 a`` has the
+      clasp numbers of the identity, all 0, and is trivial.
+
+    Unequal blocks mean unequal matrices, hence unequal braids.
+    """
     if a.strands != b.strands:
         raise BraidError(f"strand count mismatch: {a.strands} != {b.strands}")
-    return gamma_matrix(a) == gamma_matrix(b)
+    n = a.strands
+    admit_strands(n)
+    basis = enumerate_basic_commutators(n)
+    probes = probe_block(n)
+    return bool(np.array_equal(gamma_apply(a, probes, basis), gamma_apply(b, probes, basis)))
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +680,3 @@ def structure_report(m: GammaMatrix, b: BraidWord) -> StructureReport:
         diagonal_blocks_identity=diag_identity,
         violations=violations,
     )
-
-
-def diagonal_block(m: GammaMatrix, weight: int) -> np.ndarray:
-    rng = m.basis.weight_range(weight)
-    return m.matrix[rng.start : rng.stop, rng.start : rng.stop]

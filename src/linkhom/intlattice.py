@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: lattices, membership, kernels, determinants.
+"""Exact integer linear algebra: lattices, membership and kernels.
 
 A lattice is kept as a row-echelon integer basis (positive pivots in
 strictly increasing columns, entries above each pivot reduced into
@@ -155,33 +155,6 @@ def kernel_basis(rows: Sequence[Sequence[int]], dim: int) -> list[Vector]:
                 break
     kernel = [tuple(row[dim:]) for row in aug if _pivot(row[:dim]) is None]
     return kernel
-
-
-def exact_determinant(matrix) -> int:
-    """Fraction-free (Bareiss) determinant over the integers."""
-    m = [[int(v) for v in row] for row in matrix]
-    size = len(m)
-    if size == 0:
-        return 1
-    if any(len(row) != size for row in m):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, size):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(k + 1, size):
-            for c in range(k + 1, size):
-                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
-            m[r][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
 
 
 def gcd_all(values: Iterable[int]) -> int:

@@ -98,17 +98,23 @@ def group_commutator(u: ReducedWord, v: ReducedWord) -> ReducedWord:
     return u * v * u.inverse() * v.inverse()
 
 
-def parse_reduced_word(text: str, rank: int) -> ReducedWord:
-    """Parse whitespace-separated ``x<k>`` / ``x<k>^-1`` tokens."""
+def parse_reduced_word(text: str, rank: int | None = None) -> ReducedWord:
+    """Parse whitespace-separated ``x<k>`` / ``x<k>^-1`` tokens.
+
+    Without ``rank`` the rank is the largest index in the word, at least 1.
+    """
+    tokens = text.split()
     letters: list[Letter] = []
-    for token in text.split():
+    for token in tokens:
         body, _, exp = token.partition("^")
         if not body.startswith("x") or not body[1:].isdigit() or exp not in ("", "-1"):
             raise RankError(f"malformed token {token!r}")
-        idx = int(body[1:])
+        letters.append((int(body[1:]), -1 if exp else 1))
+    if rank is None:
+        rank = max([1] + [idx for idx, _ in letters])
+    for token, (idx, _) in zip(tokens, letters):
         if not 1 <= idx <= rank:
             raise RankError(f"token {token!r}: index out of range for rank {rank}")
-        letters.append((idx, -1 if exp else 1))
     return ReducedWord(rank, tuple(letters))
 
 

@@ -1,5 +1,7 @@
 import json
+import random
 
+from linkhom.braids import BraidWord, compose, pure_generator_word, unparse_braid_word
 from linkhom.cli import main
 
 
@@ -37,6 +39,26 @@ def test_braid_eq_exit_codes(capsys):
     assert run(capsys, "braid-eq", "-n", "2", "a1,2", "a1,2 a1,2")[0] == 1
 
 
+def test_braid_eq_six_strands(capsys):
+    # a 300-letter word against itself with homotopy relators
+    # [A_ij, lam A_ij lam^-1] inserted, then with one letter inverted
+    rng = random.Random(6)
+    n = 6
+    word = [(rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(300)]
+    other = list(word)
+    for _ in range(4):
+        a = pure_generator_word(n, *sorted(rng.sample(range(1, n + 1), 2)))
+        lam = pure_generator_word(n, *sorted(rng.sample(range(1, n + 1), 2)))
+        conj = compose(lam, a, lam.inverse())
+        pos = rng.randint(0, len(other))
+        other[pos:pos] = compose(a, conj, a.inverse(), conj.inverse()).letters
+    text = unparse_braid_word(BraidWord(n, tuple(word)))
+    assert run(capsys, "braid-eq", "-n", "6", text, unparse_braid_word(BraidWord(n, tuple(other))))[0] == 0
+    i, sign = other[150]
+    other[150] = (i, -sign)
+    assert run(capsys, "braid-eq", "-n", "6", text, unparse_braid_word(BraidWord(n, tuple(other))))[0] == 1
+
+
 def test_basis_listing(capsys):
     code, out, _ = run(capsys, "basis", "-n", "3")
     assert code == 0
@@ -51,6 +73,18 @@ def test_nf_and_magnus(capsys):
     code, out, _ = run(capsys, "magnus", "x1 x2 x1^-1 x2^-1", "--format", "json")
     assert code == 0
     assert json.loads(out)["coefficients"] == {"": 1, "1.2": 1, "2.1": -1}
+
+
+def test_reduced_words_infer_their_rank(capsys):
+    code, out, _ = run(capsys, "nf", "x3 x1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rank"] == 3
+    # the braid needs 2 strands, the word rank 3
+    code, out, _ = run(capsys, "act", "s1", "x3", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"rank": 3, "word": "x3"}
+    assert run(capsys, "magnus", "x1 y2")[0] == 64
+    assert run(capsys, "nf", "x1^2")[0] == 64
 
 
 def test_act(capsys):
@@ -170,3 +204,21 @@ def test_eight_strands_refused_before_allocation(capsys, tmp_path):
         assert code == 65
         assert out == ""
         assert "16072" in err and "limit of 2372" in err
+
+
+def test_comb_enumeration_refused_past_the_limit(capsys, tmp_path):
+    # 12 strands have ~10^7 comb sequences: refused before enumerating any
+    big = tmp_path / "v12.json"
+    big.write_text(json.dumps({"n": 12, "nu": {}}))
+    eight = tmp_path / "v8.json"
+    eight.write_text(json.dumps({"n": 8, "nu": {"1.2": 1}}))
+    for argv in (("build", str(big)), ("build", str(eight)), ("closure-eq", str(eight), str(eight))):
+        code, out, err = run(capsys, *argv)
+        assert code == 65
+        assert out == ""
+        assert "limit of 2372" in err
+    seven = tmp_path / "v7.json"
+    seven.write_text(json.dumps({"n": 7, "nu": {"1.7": 1, "1.2.7": -1}}))
+    code, out, _ = run(capsys, "build", str(seven), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["n"] == 7

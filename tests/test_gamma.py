@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,17 +19,22 @@ from linkhom.gamma import (
     _certified_inverse,
     _max_abs,
     braid_equal_lh,
-    diagonal_block,
     gamma_apply,
     gamma_generator_closed_form,
     gamma_matrix,
     gamma_matrix_definitional,
     generator_matrix,
+    probe_block,
     structure_report,
 )
-from linkhom.intlattice import exact_determinant
+from linkhom.claspers import (
+    clasp_vector_to_braid,
+    comb_clasper_braid,
+    enumerate_comb_claspers,
+    extract_clasp_vector,
+)
 from linkhom.reduced_free import ORDER_TAGS, BasicCommutator, enumerate_basic_commutators
-from conftest import random_braid, random_pure_braid
+from conftest import exact_determinant, random_braid, random_clasp_vector, random_pure_braid
 
 # Golden 8x8 matrices of the two generators on three strands, basis order
 # (1),(2),(3),(12),(13),(23),(123),(132); columns are images.
@@ -143,7 +150,16 @@ def test_order_independence(rng):
         word = random_braid(rng, 3, rng.randint(0, 6))
         lex = gamma_matrix(word, enumerate_basic_commutators(3, "weight-lex"))
         rev = gamma_matrix(word, enumerate_basic_commutators(3, "weight-revlex"))
-        assert lex.as_map() == rev.as_map()
+        assert as_map(lex) == as_map(rev)
+
+
+def as_map(m):
+    """Entries keyed by (row sequence, column sequence): order-free form."""
+    rows, cols = np.nonzero(m.matrix)
+    return {
+        (m.basis.elements[r].sequence, m.basis.elements[c].sequence): int(m.matrix[r, c])
+        for r, c in zip(rows, cols)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +253,82 @@ def test_braid_equal_examples():
 
 def commutator(a, b):
     return compose(a, b, a.inverse(), b.inverse())
+
+
+def insert(word, piece, pos):
+    return BraidWord(word.strands, word.letters[:pos] + piece.letters + word.letters[pos:])
+
+
+def homotopy_relator(n, i, j, lam):
+    """[A_ij, lam A_ij lam^-1]: trivial up to link-homotopy for a pure lam."""
+    a = pure_generator_word(n, i, j)
+    return commutator(a, compose(lam, a, lam.inverse()))
+
+
+@st.composite
+def equality_pairs(draw):
+    """A word and the same word with a homotopy relator or a comb of degree
+    n - 2 or n - 1 inserted, or two unrelated words."""
+    n = draw(st.integers(1, 5))
+    letters = st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=30)
+    words = letters.map(lambda w: BraidWord(n, tuple(w))) if n > 1 else st.just(BraidWord.identity(1))
+    word = draw(words)
+    kind = draw(st.sampled_from(("relator", "comb", "unrelated")))
+    if n == 1 or kind == "unrelated":
+        return word, draw(words)
+    pos = draw(st.integers(0, len(word.letters)))
+    if kind == "relator":
+        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        i, j = draw(st.sampled_from(pairs))
+        lam = BraidWord.identity(n)
+        for (r, t), e in draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from((1, -1))),
+                                       max_size=3)):
+            lam = compose(lam, pure_generator_word(n, r, t) ** e)
+        return word, insert(word, homotopy_relator(n, i, j, lam), pos)
+    combs = [c for c in enumerate_comb_claspers(n) if c.degree >= max(1, n - 2)]
+    comb = comb_clasper_braid(draw(st.sampled_from(combs)), n)
+    return word, insert(word, comb ** draw(st.sampled_from((1, -1))), pos)
+
+
+@settings(max_examples=120, deadline=None)
+@given(equality_pairs())
+def test_braid_equality_matches_dense_oracle(pair):
+    a, b = pair
+    assert braid_equal_lh(a, b) is (gamma_matrix(a) == gamma_matrix(b))
+
+
+def test_braid_equality_after_escalation(monkeypatch):
+    # with a low threshold the probe blocks turn into Python integers
+    # partway through the words; one side may stay int64
+    n = 4
+    basis = enumerate_basic_commutators(n)
+    word = parse_braid_word("a1,2 a2,3 a3,4", n) ** 20
+    relator = homotopy_relator(n, 1, 3, pure_generator_word(n, 2, 4))
+    pairs = [
+        (word, insert(word, relator, 30)),
+        (word, compose(word, pure_generator_word(n, 1, 4))),
+        (relator, BraidWord.identity(n)),
+        (word, BraidWord.identity(n)),
+    ]
+    expect = [gamma_matrix(a) == gamma_matrix(b) for a, b in pairs]
+    assert expect == [True, False, True, False]
+    monkeypatch.setattr(gamma, "_INT64_SAFE", 2**4)
+    assert gamma_apply(word, probe_block(n), basis).dtype == object
+    assert [braid_equal_lh(a, b) for a, b in pairs] == expect
+
+
+def test_round_trips_of_criterion_5_on_the_dense_oracle():
+    # acceptance criterion 5 decides its 400 pure-word round trips with
+    # braid_equal_lh; the same words (seed 501, n = 3, 4) against full matrices
+    rng = random.Random(501)
+    for n in (3, 4, 5):
+        for _ in range(200):
+            random_clasp_vector(rng, n, bound=2)  # the draws criterion 5 makes first
+    for n in (3, 4):
+        for _ in range(200):
+            word = random_pure_braid(rng, n, rng.randint(0, 12))
+            rebuilt = clasp_vector_to_braid(extract_clasp_vector(word))
+            assert gamma_matrix(word) == gamma_matrix(rebuilt)
 
 
 def presentation_relators(n, rng, conjugator_samples=4):
@@ -439,6 +531,11 @@ def test_structure_random(rng):
         for _ in range(10):
             word = random_braid(rng, n, rng.randint(0, 8))
             assert structure_report(gamma_matrix(word), word).ok
+
+
+def diagonal_block(m, weight):
+    rng = m.basis.weight_range(weight)
+    return m.matrix[rng.start : rng.stop, rng.start : rng.stop]
 
 
 def test_diagonal_blocks_have_finite_order():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from linkhom.intlattice import IntegerLattice, exact_determinant, gcd_all, kernel_basis
+from linkhom.intlattice import IntegerLattice, gcd_all, kernel_basis
+from conftest import exact_determinant
 
 
 def test_membership_simple():

@@ -299,6 +299,13 @@ def test_parse_reduced_word():
         parse_reduced_word("x3", 2)
     with pytest.raises(RankError):
         parse_reduced_word("y1", 2)
+    # without a rank: the largest index, at least 1
+    assert parse_reduced_word("x3 x1^-1") == ReducedWord(3, ((3, 1), (1, -1)))
+    assert parse_reduced_word("").rank == 1
+    with pytest.raises(RankError):
+        parse_reduced_word("x0")
+    with pytest.raises(RankError):
+        parse_reduced_word("x2^2")
 
 
 def test_commutator_word_left_normed():
