@@ -66,7 +66,6 @@ from .claspers import (
     read_clasp_numbers,
 )
 from .closure import (
-    DEFAULT_BUDGET,
     Move,
     MoveRow,
     OrbitVerdict,

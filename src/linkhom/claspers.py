@@ -91,6 +91,7 @@ class CombClasper:
 @lru_cache(maxsize=None)
 def enumerate_comb_claspers(n: int) -> tuple[CombClasper, ...]:
     """All comb sequences valid on n strands, by degree then lexicographically."""
+    admit_strands(n)  # their number grows factorially with n
     out: list[tuple[int, ...]] = []
     for size in range(2, n + 1):
         for support in itertools.combinations(range(1, n + 1), size):

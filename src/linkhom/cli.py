@@ -7,26 +7,26 @@ suffix.  When ``-n`` is omitted it is inferred as the smallest strand
 count on which the input words parse.
 
 Exit codes: 0 success (also true / Equivalent), 1 false / Distinct,
-2 Unknown, 64 usage error, 65 data error (unreadable or invalid files, or
-inputs beyond the admitted size: gamma, braid-eq, clasp, build, pc and
-closure-eq refuse n >= 8).
+2 Unknown (only closure-eq on 5 components with nonzero linking numbers,
+outside the classification), 64 usage error, 65 data error (unreadable or
+invalid files, integers in them of more than 4300 digits, or inputs beyond
+the admitted size: gamma, braid-eq, clasp, build, pc and closure-eq refuse
+n >= 8).
+
+closure-eq witness multipliers can exceed 4300 decimal digits; a Python
+consumer of its JSON output needs ``sys.set_int_max_str_digits(0)``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 from .braids import BraidError, BraidWord, infer_strands, parse_braid_word, unparse_braid_word
 from .claspers import ClaspVector, clasp_vector_to_braid, extract_clasp_vector
-from .closure import (
-    BUDGET_ENV_VAR,
-    PartialConjugation,
-    closure_equivalent,
-    move_tables,
-    partial_conjugate,
-)
+from .closure import PartialConjugation, closure_equivalent, move_tables, partial_conjugate
 from .gamma import LimitError, admit_strands, braid_equal_lh, gamma_matrix
 from .reduced_free import (
     RankError,
@@ -94,8 +94,6 @@ def _build_parser() -> _Parser:
     p = add("closure-eq", "decide link-homotopy of the closures of two clasp vectors")
     p.add_argument("vector1")
     p.add_argument("vector2")
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"search budget (default from ${BUDGET_ENV_VAR} or built-in)")
     p = add("tables", "dump the embedded clasp-number move tables")
     p.add_argument("--table", default=None, help="only this table id")
     return parser
@@ -108,7 +106,9 @@ def _load_vector(path: str) -> ClaspVector:
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: malformed JSON, or an integer past the int-to-str
+        # digit cap, which stays on while input is parsed
         raise _DataError(f"cannot read clasp vector from {path}: {exc}") from exc
     try:
         return ClaspVector.from_json(data)
@@ -118,6 +118,20 @@ def _load_vector(path: str) -> ClaspVector:
 
 class _DataError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the int-to-str digit cap of Python >= 3.10.7, then restore it."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield  # older interpreters have no cap
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _braid(args, text: str) -> BraidWord:
@@ -216,20 +230,21 @@ def _run(args) -> int:
         v1 = _load_vector(args.vector1)
         v2 = _load_vector(args.vector2)
         try:
-            verdict = closure_equivalent(v1, v2, args.budget)
+            verdict = closure_equivalent(v1, v2)
         except BraidError as exc:
             # rank mismatch or out-of-scope strand count in the input files
             raise _DataError(str(exc)) from exc
         lines = [verdict.status]
         if verdict.invariant:
             lines.append(f"separating invariant: {verdict.invariant}")
-        if verdict.witness:
-            lines.extend(
-                f"move {m.table}#{m.row} x{m.multiplier}" for m in verdict.witness
-            )
         if verdict.note:
             lines.append(verdict.note)
-        _emit(args, verdict.to_json(), lines)
+        with _unlimited_int_digits():
+            # witness multipliers can pass the 4300-digit int-to-str cap
+            lines.extend(
+                f"move {m.table}#{m.row} x{m.multiplier}" for m in verdict.witness or ()
+            )
+            _emit(args, verdict.to_json(), lines)
         return {"equivalent": EX_OK, "distinct": EX_FALSE}.get(verdict.status, EX_UNKNOWN)
 
     if args.command == "tables":

@@ -25,9 +25,11 @@ layers:
   realizable while returning the lower degree to its start form a
   computable lattice (zero-net loops of table rows plus the free
   conjugation moves), so membership there is exact as well: outside the
-  lattice is Distinct, inside yields a witness.  A breadth-first search
-  over canonicalised states, bounded by ``budget``, remains as a
-  fallback for witnesses too long to unroll; only it can answer Unknown.
+  lattice is Distinct, inside yields a witness.  Each loop enters the
+  witness in a compact form whose length does not grow with its count.
+
+There is no search, so the decision is total: Unknown means only that the
+input is out of scope (5 strands with nonzero linking numbers).
 
 Every Equivalent verdict carries a move-sequence witness and is replayed
 before being returned; every Distinct verdict names the separating
@@ -38,8 +40,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -54,9 +54,6 @@ from .claspers import (
 )
 from .gamma import admit_strands, probe_block
 from .intlattice import IntegerLattice, gcd_all, kernel_basis
-
-DEFAULT_BUDGET = 100_000
-BUDGET_ENV_VAR = "LINKHOM_BUDGET"
 
 EQUIVALENT = "equivalent"
 DISTINCT = "distinct"
@@ -324,12 +321,6 @@ def milnor_triplet(v: ClaspVector) -> tuple[tuple[int, int, int], int]:
 # The layered decision procedure.
 
 
-def _resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
-
-
 def _degree_seqs(n: int, degree: int) -> list[tuple[int, ...]]:
     return [c.sequence for c in enumerate_comb_claspers(n) if c.degree == degree]
 
@@ -350,6 +341,11 @@ def _increment_vector(row: MoveRow, seqs: list[tuple[int, ...]], lookup) -> tupl
 
 def _sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(a, b))
+
+
+def _commutator(a: int, b: int, m: int) -> list[tuple[int, int]]:
+    """Row steps (a, m)(b, 1)(a, -m)(b, -1)."""
+    return [(a, m), (b, 1), (a, -m), (b, -1)]
 
 
 def _certify(v1: ClaspVector, v2: ClaspVector, witness: list[Move]) -> OrbitVerdict:
@@ -388,8 +384,28 @@ def _layered_decision(
     free_rows: tuple[MoveRow, ...],
     mid_degree: int,
     top_degree: int,
-    budget: int,
 ) -> OrbitVerdict:
+    """Decide the orbit on the mid and top degrees; total on its inputs.
+
+    A row r acts on (mid, top) as mid += D_r and top += C_r + L_r(mid):
+    D_r is its constant mid increment, L_r the linear part of its top
+    increment.  Within a row the sources are disjoint from the targets
+    (checked by ``_validate_row``), so L_r D_r = 0.
+
+    The mid degree is an integer-lattice membership.  The top residual is
+    then a membership in the lattice of free moves and of loops, which
+    return the mid values to their start: kernel-combination loops
+    [(r, k_r)] with sum_r k_r D_r = 0, and commutators.  The commutator
+    (a, m)(b, 1)(a, -m)(b, -1) changes the top by m (L_b D_a - L_a D_b)
+    whatever its base point.  So a commutator loop with count c is the
+    single commutator with m = c.  A kernel loop with count c is one pass
+    [(r, c k_r)] plus corrections: the pass overshoots c repetitions by
+    (c^2 - c) sum_{p<q} k_p k_q L_q D_p, and since sum_r k_r D_r = 0 this
+    equals C(c, 2) sum_{p<q} k_p k_q (L_q D_p - L_p D_q), which is the
+    commutator with m = -C(c, 2) k_p k_q for each pair p < q.  This holds
+    for negative c as well, and C(c, 2) is an integer.  So the witness
+    length does not depend on the counts, and ``_certify`` still replays it.
+    """
     n = v1.n
     mid_seqs = _degree_seqs(n, mid_degree)
     top_seqs = _degree_seqs(n, top_degree)
@@ -422,17 +438,13 @@ def _layered_decision(
             for c, terms in zip(top_const[r], top_linear[r])
         )
 
-    def step(state: tuple, r: int, mult: int) -> tuple:
-        mid, top = state
-        inc = top_inc(r, mid)
-        return (
-            tuple(m + mult * d for m, d in zip(mid, mid_incs[r])),
-            tuple(t + mult * d for t, d in zip(top, inc)),
-        )
-
     def run(state: tuple, steps: list[tuple[int, int]]) -> tuple:
         for r, mult in steps:
-            state = step(state, r, mult)
+            mid, top = state
+            state = (
+                tuple(m + mult * d for m, d in zip(mid, mid_incs[r])),
+                tuple(t + mult * d for t, d in zip(top, top_inc(r, mid))),
+            )
         return state
 
     state1 = (_values(v1, mid_seqs), _values(v1, top_seqs))
@@ -481,24 +493,25 @@ def _layered_decision(
     # multipliers differs from a simulated one by such commutator terms.
     # Membership of the top residual in this lattice (together with the
     # free conjugation moves) therefore decides the top degree exactly.
-    candidate_loops: list[list[tuple[int, int]]] = []
+    # A kernel loop may have four steps too, so each loop carries its kind.
+    candidate_loops: list[tuple[bool, list[tuple[int, int]]]] = []
     for c in kernel:
         steps = [(r, k) for r, k in enumerate(c) if k]
         if steps:
-            candidate_loops.append(steps)
+            candidate_loops.append((False, steps))
     for a, b in itertools.combinations(range(len(gen_rows)), 2):
-        candidate_loops.append([(a, 1), (b, 1), (a, -1), (b, -1)])
-    loop_steps: list[list[tuple[int, int]]] = []
+        candidate_loops.append((True, _commutator(a, b, 1)))
+    loops: list[tuple[bool, list[tuple[int, int]]]] = []
     loop_deltas: list[tuple[int, ...]] = []
     lo_lattice = IntegerLattice(len(top_seqs), free_incs)
-    for steps in candidate_loops:
+    for is_commutator, steps in candidate_loops:
         end = run(w, steps)
         if end[0] != w[0]:
             raise CertificationError(f"a top-degree loop moves the degree-{mid_degree} values")
         change = _sub(end[1], w[1])
         if change not in lo_lattice:
             lo_lattice.add(change)
-            loop_steps.append(steps)
+            loops.append((is_commutator, steps))
             loop_deltas.append(change)
 
     delta = _sub(state2[1], w[1])
@@ -512,91 +525,46 @@ def _layered_decision(
     gen_kernel = kernel_basis(free_incs + loop_deltas, len(top_seqs))
     if gen_kernel:
         sol = list(IntegerLattice(len(sol), gen_kernel).canonical(sol))
-    unrolled = sum(
-        abs(c) * len(steps) for c, steps in zip(sol[len(free_incs):], loop_steps)
-    )
-    if unrolled <= 2_000_000:
-        moves = list(witness)
-        state = w
-        for idx, c in enumerate(sol[len(free_incs):]):
-            steps = loop_steps[idx]
-            reps = steps if c >= 0 else [(r, -m) for r, m in reversed(steps)]
-            for _ in range(abs(c)):
-                state = run(state, reps)
-                moves.extend(
-                    Move(gen_rows[r].table, gen_rows[r].row, m) for r, m in reps
-                )
-        done = finish(state, moves)
-        if done is None:
-            raise CertificationError("loop-lattice witness failed to close")
-        return done
 
-    # The witness exists but is too long to materialise; fall back to a
-    # bounded breadth-first search over (mid, top) states, top degree
-    # canonicalised by the free lattice.
-    def key_of(state: tuple) -> tuple:
-        return (state[0], free_lattice.canonical(state[1]))
-
-    target_key = key_of(state2)
-    start_key = key_of(w)
-    parents: dict[tuple, tuple[tuple, tuple[int, int]] | None] = {start_key: None}
-    states: dict[tuple, tuple] = {start_key: w}
-    queue: deque[tuple] = deque([start_key])
-    goal: tuple | None = start_key if start_key == target_key else None
-    row_count = len(gen_rows)
-    while queue and goal is None and len(parents) < budget:
-        key = queue.popleft()
-        state = states[key]
-        for r in range(row_count):
-            for mult in (1, -1):
-                nxt = step(state, r, mult)
-                nkey = key_of(nxt)
-                if nkey in parents:
-                    continue
-                parents[nkey] = (key, (r, mult))
-                states[nkey] = nxt
-                if nkey == target_key:
-                    goal = nkey
-                    break
-                queue.append(nkey)
-            if goal:
-                break
-        if goal:
-            break
-    if goal is None:
-        return OrbitVerdict(
-            UNKNOWN,
-            note=f"bounded search exhausted its budget of {budget} states",
-        )
-    chain: list[Move] = []
-    key = goal
-    while parents[key] is not None:
-        key, (r, mult) = parents[key]
-        chain.append(Move(gen_rows[r].table, gen_rows[r].row, mult))
-    chain.reverse()
-    moves = witness + chain
-    done = finish(states[goal], moves)
+    # Each loop with count c, written compactly (see the docstring).
+    steps: list[tuple[int, int]] = []
+    for c, (is_commutator, loop) in zip(sol[len(free_incs):], loops):
+        if not c:
+            continue
+        if is_commutator:
+            steps += _commutator(loop[0][0], loop[1][0], c)
+            continue
+        steps += [(r, c * k) for r, k in loop]
+        pairs = c * (c - 1) // 2
+        for (p, kp), (q, kq) in itertools.combinations(loop, 2):
+            if m := -pairs * kp * kq:
+                steps += _commutator(p, q, m)
+    moves = witness + [Move(gen_rows[r].table, gen_rows[r].row, m) for r, m in steps]
+    done = finish(run(w, steps), moves)
     if done is None:
-        raise CertificationError("goal state does not differ by a free move")
+        raise CertificationError("loop-lattice witness failed to close")
     return done
 
 
 def closure_equivalent(
-    v1: ClaspVector, v2: ClaspVector, budget: int | None = None
+    v1: ClaspVector, v2: ClaspVector, budget: object = None
 ) -> OrbitVerdict:
     """Decide whether two clasp vectors have link-homotopic closures.
 
-    Implemented for n <= 4 in general and for n = 5 when both vectors are
+    The decision is total for n <= 4 and for n = 5 when both vectors are
     algebraically split (all degree-1 values zero).  Equivalent verdicts
     carry a replayed witness; Distinct verdicts name a separating
-    invariant; Unknown can only come out of the bounded top-degree search.
+    invariant; Unknown means only that the input is out of scope: n = 5
+    with nonzero linking numbers.  Witness multipliers can run to
+    thousands of digits.
+
+    The third parameter is ignored; it is kept for callers that pass a budget.
     """
     if v1.n != v2.n:
         raise BraidError(f"strand counts differ: {v1.n} != {v2.n}")
     n = v1.n
     if n > 5:
         raise BraidError("the table-driven decision is implemented for n <= 5 only")
-    budget_value = _resolve_budget(budget)
 
     if _values(v1, _degree_seqs(n, 1)) != _values(v2, _degree_seqs(n, 1)):
         return OrbitVerdict(
@@ -612,7 +580,7 @@ def closure_equivalent(
     if n == 4:
         tables = _embedded_tables()
         return _layered_decision(
-            v1, v2, tables["n4-generating"], tables["n4-closure-moves"], 2, 3, budget_value
+            v1, v2, tables["n4-generating"], tables["n4-closure-moves"], 2, 3
         )
     if any(_values(v1, _degree_seqs(5, 1))):
         return OrbitVerdict(
@@ -627,5 +595,5 @@ def closure_equivalent(
         )
     tables = _embedded_tables()
     return _layered_decision(
-        v1, v2, tables["n5-split-generating"], tables["n5-split-closure-moves"], 3, 4, budget_value
+        v1, v2, tables["n5-split-generating"], tables["n5-split-closure-moves"], 3, 4
     )

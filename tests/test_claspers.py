@@ -24,7 +24,7 @@ from linkhom.claspers import (
     probe_block,
     read_clasp_numbers,
 )
-from linkhom.gamma import braid_equal_lh, gamma_apply, gamma_matrix
+from linkhom.gamma import LimitError, braid_equal_lh, gamma_apply, gamma_matrix
 from linkhom.reduced_free import BasicCommutator, enumerate_basic_commutators
 from conftest import random_clasp_vector, random_pure_braid
 from word_oracle import word_extract_clasp_vector
@@ -52,6 +52,15 @@ def test_enumerate_comb_claspers_order():
     # counts per degree at n=5: 10, 10, 10, 6
     degrees = [c.degree for c in enumerate_comb_claspers(5)]
     assert [degrees.count(d) for d in (1, 2, 3, 4)] == [10, 10, 10, 6]
+
+
+def test_comb_enumeration_admits_strands():
+    # the comb count grows factorially: 10 strands are refused before any
+    v = ClaspVector(10, {(1, 2): 1})
+    with pytest.raises(LimitError, match="limit of 2372"):
+        clasp_vector_to_braid(v)
+    with pytest.raises(LimitError, match="limit of 2372"):
+        v.degree_values(1)
 
 
 def test_comb_clasper_braid_degree_one():

@@ -1,8 +1,13 @@
 import json
 import random
+import sys
+
+import pytest
 
 from linkhom.braids import BraidWord, compose, pure_generator_word, unparse_braid_word
 from linkhom.cli import main
+from linkhom.closure import Move, replay_witness
+from conftest import PAST_CAP_PAIRS, past_cap_pair
 
 
 def run(capsys, *argv):
@@ -143,6 +148,51 @@ def test_closure_eq_exit_codes_and_witness(capsys, tmp_path):
     v2.write_text(json.dumps({"n": 5, "nu": {"1.2": 1, "1.2.3.4.5": 1}}))
     code, out, _ = run(capsys, "closure-eq", str(v1), str(v2), "--format", "json")
     assert code == 2
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no int-to-str digit cap")
+def test_closure_eq_prints_multipliers_past_the_digit_cap(capsys, tmp_path):
+    label = "seed11-258-n5-1e3"
+    n, nu1, nu2 = PAST_CAP_PAIRS[label]
+    paths = []
+    for name, nu in (("v1.json", nu1), ("v2.json", nu2)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps({"n": n, "nu": nu}))
+    cap = sys.get_int_max_str_digits()
+    code, text, _ = run(capsys, "closure-eq", *map(str, paths))
+    assert code == 0
+    assert text.startswith("equivalent\n")
+    code, out, _ = run(capsys, "closure-eq", *map(str, paths), "--format", "json")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == cap
+    sys.set_int_max_str_digits(0)
+    try:
+        verdict = json.loads(out)
+        assert max(len(str(m["multiplier"])) for m in verdict["witness"]) > cap
+    finally:
+        sys.set_int_max_str_digits(cap)
+    v1, v2 = past_cap_pair(label)
+    assert verdict["status"] == "equivalent"
+    assert replay_witness(v1, [Move.from_json(m) for m in verdict["witness"]]) == v2
+
+
+def test_closure_eq_budget_flag_is_gone(capsys, tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"n": 4, "nu": {}}))
+    assert run(capsys, "closure-eq", str(path), str(path), "--budget", "10")[0] == 64
+
+
+def test_oversize_integers_in_input_are_data_errors(capsys, tmp_path):
+    # past the 4300-digit int-to-str cap, which stays on while input is read
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 3, "nu": {"1.2.3": 1' + "0" * 5000 + "}}")
+    for argv in (("build", str(huge)), ("pc", str(huge), "-i", "1", "-j", "2"),
+                 ("closure-eq", str(huge), str(huge))):
+        code, out, err = run(capsys, *argv)
+        assert code == 65
+        assert out == ""
+        assert "cannot read clasp vector" in err
 
 
 def test_tables_dump(capsys):

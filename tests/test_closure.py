@@ -29,7 +29,7 @@ from linkhom.closure import (
     _increment_vector,
 )
 from linkhom.intlattice import IntegerLattice
-from conftest import random_clasp_vector
+from conftest import PAST_CAP_PAIRS, past_cap_pair, random_clasp_vector
 from word_oracle import word_partial_conjugate
 
 TABLES = move_tables()
@@ -282,8 +282,8 @@ def test_milnor_triplet():
 # Closure equivalence
 
 
-def certify(v1, v2, expected_status, budget=None):
-    verdict = closure_equivalent(v1, v2, budget)
+def certify(v1, v2, expected_status):
+    verdict = closure_equivalent(v1, v2)
     assert verdict.status == expected_status, (verdict.status, verdict.invariant)
     if verdict.status == EQUIVALENT:
         assert replay_witness(v1, verdict.witness) == v2
@@ -391,6 +391,43 @@ def test_reachable_states_are_all_certified(rng):
             assert replay_witness(v, verdict.witness) == w
 
 
+@pytest.mark.parametrize("label", sorted(PAST_CAP_PAIRS))
+def test_witnesses_past_the_unrolling_cap(label):
+    # the loop counts here are thousands of bits long: the witness writes
+    # each loop once, with scaled multipliers and commutator corrections
+    v1, v2 = past_cap_pair(label)
+    verdict = certify(v1, v2, EQUIVALENT)
+    assert len(verdict.witness) < 2000
+
+
+@st.composite
+def move_pairs(draw):
+    n = draw(st.sampled_from((4, 5)))
+    band = draw(st.sampled_from((1, 10**3)))
+    names = (("n4-generating", "n4-partial-conjugations", "n4-closure-moves") if n == 4
+             else ("n5-split-generating", "n5-split-closure-moves"))
+    v = ClaspVector(n, {
+        c.sequence: draw(st.integers(-band, band))
+        for c in enumerate_comb_claspers(n)
+        if c.degree >= (1 if n == 4 else 2)
+    })
+    rows = [row for name in names for row in TABLES[name]]
+    moves = draw(st.lists(st.tuples(st.sampled_from(rows), st.sampled_from((-1, 1))),
+                          min_size=1, max_size=6))
+    w = v
+    for row, sign in moves:
+        w = apply_table_move(w, row, sign)
+    return v, w
+
+
+@settings(max_examples=30, deadline=None)
+@given(move_pairs())
+def test_decision_is_total_and_symmetric(pair):
+    v, w = pair
+    certify(v, w, EQUIVALENT)
+    certify(w, v, EQUIVALENT)
+
+
 def test_verdict_symmetry(rng):
     for _ in range(15):
         v = random_clasp_vector(rng, 4, bound=1)
@@ -432,17 +469,6 @@ def test_errors():
         closure_equivalent(ClaspVector(3, {}), ClaspVector(4, {}))
     with pytest.raises(BraidError):
         closure_equivalent(ClaspVector(6, {}), ClaspVector(6, {}))
-
-
-def test_budget_resolution(monkeypatch):
-    from linkhom.closure import BUDGET_ENV_VAR, DEFAULT_BUDGET, _resolve_budget
-
-    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
-    assert _resolve_budget(None) == DEFAULT_BUDGET
-    assert _resolve_budget(42) == 42
-    monkeypatch.setenv(BUDGET_ENV_VAR, "777")
-    assert _resolve_budget(None) == 777
-    assert _resolve_budget(9) == 9
 
 
 def test_verdict_json_round_trip():
