@@ -77,10 +77,6 @@ class CombClasper:
     def degree(self) -> int:
         return len(self.sequence) - 1
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.sequence)
-
     def key(self) -> str:
         return ".".join(map(str, self.sequence))
 
@@ -190,10 +186,10 @@ class ClaspVector:
     @classmethod
     def from_json(cls, data: dict) -> "ClaspVector":
         try:
-            n = int(data["n"])
+            n = _json_int(data["n"])
             order = data.get("order", CLASP_ORDER)
             nu = {
-                tuple(int(p) for p in key.split(".")): int(value)
+                tuple(int(p) for p in key.split(".")): _json_int(value)
                 for key, value in data.get("nu", {}).items()
             }
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -201,6 +197,13 @@ class ClaspVector:
         # before anything enumerates combs: there are ~10^7 at 12 strands
         admit_strands(n)
         return cls(n, nu, order)
+
+
+def _json_int(value: object) -> int:
+    """A JSON integer as is; ``int()`` would truncate 1.5 and accept true."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def clasp_vector_to_braid(v: ClaspVector) -> BraidWord:

@@ -9,9 +9,9 @@ count on which the input words parse.
 Exit codes: 0 success (also true / Equivalent), 1 false / Distinct,
 2 Unknown (only closure-eq on 5 components with nonzero linking numbers,
 outside the classification), 64 usage error, 65 data error (unreadable or
-invalid files, integers in them of more than 4300 digits, or inputs beyond
-the admitted size: gamma, braid-eq, clasp, build, pc and closure-eq refuse
-n >= 8).
+invalid files, values in them that are not JSON integers, integers of more
+than 4300 digits, or inputs beyond the admitted size: every subcommand but
+act and tables refuses n >= 8, basis, nf and magnus included).
 
 closure-eq witness multipliers can exceed 4300 decimal digits; a Python
 consumer of its JSON output needs ``sys.set_int_max_str_digits(0)``.

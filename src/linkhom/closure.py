@@ -53,7 +53,7 @@ from .claspers import (
     read_clasp_numbers,
 )
 from .gamma import admit_strands, probe_block
-from .intlattice import IntegerLattice, gcd_all, kernel_basis
+from .intlattice import IntegerLattice, gcd_all
 
 EQUIVALENT = "equivalent"
 DISTINCT = "distinct"
@@ -90,9 +90,6 @@ class MoveRow:
 
     def targets(self) -> list[tuple[int, ...]]:
         return [t for t, _ in self.increments]
-
-    def sources(self) -> set[tuple[int, ...]]:
-        return {s for _, pairs in self.increments for s, _ in pairs}
 
     def to_json(self) -> dict:
         return {
@@ -405,6 +402,15 @@ def _layered_decision(
     commutator with m = -C(c, 2) k_p k_q for each pair p < q.  This holds
     for negative c as well, and C(c, 2) is an integer.  So the witness
     length does not depend on the counts, and ``_certify`` still replays it.
+
+    Each layer eliminates once.  The mid lattice's own relations
+    (``IntegerLattice.kernel``) give both the kernel loops and the
+    canonical mid solution.  The top degree uses one lattice: the free
+    moves first, then each loop whose change it does not yet contain.  The
+    residual is solved on it before any loop is added and, if that fails,
+    after; the solution is reduced modulo the lattice's relations, and its
+    first ``len(free_rows)`` entries are the free-move multipliers, which
+    close the witness after the loops.
     """
     n = v1.n
     mid_seqs = _degree_seqs(n, mid_degree)
@@ -460,7 +466,7 @@ def _layered_decision(
             invariant=f"degree-{mid_degree} clasp numbers modulo the lattice of "
             "partial-conjugation increments",
         )
-    kernel = kernel_basis(mid_incs, len(mid_seqs))
+    kernel = mid_lattice.kernel
     if kernel:
         # smaller particular solution: canonical representative mod the kernel
         coeffs = list(IntegerLattice(len(gen_rows), kernel).canonical(coeffs))
@@ -470,63 +476,47 @@ def _layered_decision(
     if w[0] != state2[0]:
         raise CertificationError(f"degree-{mid_degree} lattice solution does not reach the target")
 
-    # Free moves: closure-preserving conjugations with invariant sources.
+    # One top lattice: the free moves (closure-preserving conjugations with
+    # invariant sources) first, then each loop whose change is new.
     free_incs = [_increment_vector(row, top_seqs, v1.get) for row in free_rows]
-    free_lattice = IntegerLattice(len(top_seqs), free_incs)
-
-    def finish(base: tuple, moves: list[Move]) -> OrbitVerdict | None:
-        sol = free_lattice.solve(_sub(state2[1], base[1]))
-        if sol is None:
-            return None
-        moves = moves + [
-            Move(row.table, row.row, c) for row, c in zip(free_rows, sol) if c
-        ]
-        return _certify(v1, v2, moves)
-
-    done = finish(w, witness)
-    if done:
-        return done
-
-    # Zero-net-mid loops realize exactly the lattice spanned by the
-    # simulated kernel-combination loops and the pairwise commutator loops
-    # (net A_r(D_s) - A_s(D_r)): any other loop with the same aggregate row
-    # multipliers differs from a simulated one by such commutator terms.
-    # Membership of the top residual in this lattice (together with the
-    # free conjugation moves) therefore decides the top degree exactly.
-    # A kernel loop may have four steps too, so each loop carries its kind.
-    candidate_loops: list[tuple[bool, list[tuple[int, int]]]] = []
-    for c in kernel:
-        steps = [(r, k) for r, k in enumerate(c) if k]
-        if steps:
-            candidate_loops.append((False, steps))
-    for a, b in itertools.combinations(range(len(gen_rows)), 2):
-        candidate_loops.append((True, _commutator(a, b, 1)))
-    loops: list[tuple[bool, list[tuple[int, int]]]] = []
-    loop_deltas: list[tuple[int, ...]] = []
-    lo_lattice = IntegerLattice(len(top_seqs), free_incs)
-    for is_commutator, steps in candidate_loops:
-        end = run(w, steps)
-        if end[0] != w[0]:
-            raise CertificationError(f"a top-degree loop moves the degree-{mid_degree} values")
-        change = _sub(end[1], w[1])
-        if change not in lo_lattice:
-            lo_lattice.add(change)
-            loops.append((is_commutator, steps))
-            loop_deltas.append(change)
-
+    top_lattice = IntegerLattice(len(top_seqs), free_incs)
     delta = _sub(state2[1], w[1])
-    sol = lo_lattice.solve(delta)
+    sol = top_lattice.solve(delta)
+    loops: list[tuple[bool, list[tuple[int, int]]]] = []
     if sol is None:
-        return OrbitVerdict(
-            DISTINCT,
-            invariant=f"degree-{top_degree} clasp numbers modulo the lattice of "
-            "increments realizable by partial conjugations and closure moves",
-        )
-    gen_kernel = kernel_basis(free_incs + loop_deltas, len(top_seqs))
-    if gen_kernel:
-        sol = list(IntegerLattice(len(sol), gen_kernel).canonical(sol))
+        # Zero-net-mid loops realize exactly the lattice spanned by the
+        # simulated kernel-combination loops and the pairwise commutator
+        # loops (net A_r(D_s) - A_s(D_r)): any other loop with the same
+        # aggregate row multipliers differs from a simulated one by such
+        # commutator terms.  Membership of the top residual in this lattice
+        # (together with the free moves) therefore decides the top degree
+        # exactly.  A kernel loop may have four steps too, so each loop
+        # carries its kind.
+        candidate_loops: list[tuple[bool, list[tuple[int, int]]]] = []
+        for c in kernel:
+            candidate_loops.append((False, [(r, k) for r, k in enumerate(c) if k]))
+        for a, b in itertools.combinations(range(len(gen_rows)), 2):
+            candidate_loops.append((True, _commutator(a, b, 1)))
+        for is_commutator, steps in candidate_loops:
+            end = run(w, steps)
+            if end[0] != w[0]:
+                raise CertificationError(f"a top-degree loop moves the degree-{mid_degree} values")
+            change = _sub(end[1], w[1])
+            if change not in top_lattice:
+                top_lattice.add(change)
+                loops.append((is_commutator, steps))
+        sol = top_lattice.solve(delta)
+        if sol is None:
+            return OrbitVerdict(
+                DISTINCT,
+                invariant=f"degree-{top_degree} clasp numbers modulo the lattice of "
+                "increments realizable by partial conjugations and closure moves",
+            )
+    if top_lattice.kernel:
+        sol = list(IntegerLattice(len(sol), top_lattice.kernel).canonical(sol))
 
-    # Each loop with count c, written compactly (see the docstring).
+    # Each loop with count c, written compactly (see the docstring), then
+    # the free moves, whose multipliers lead the solution.
     steps: list[tuple[int, int]] = []
     for c, (is_commutator, loop) in zip(sol[len(free_incs):], loops):
         if not c:
@@ -539,11 +529,9 @@ def _layered_decision(
         for (p, kp), (q, kq) in itertools.combinations(loop, 2):
             if m := -pairs * kp * kq:
                 steps += _commutator(p, q, m)
-    moves = witness + [Move(gen_rows[r].table, gen_rows[r].row, m) for r, m in steps]
-    done = finish(run(w, steps), moves)
-    if done is None:
-        raise CertificationError("loop-lattice witness failed to close")
-    return done
+    witness += [Move(gen_rows[r].table, gen_rows[r].row, m) for r, m in steps]
+    witness += [Move(row.table, row.row, c) for row, c in zip(free_rows, sol) if c]
+    return _certify(v1, v2, witness)
 
 
 def closure_equivalent(

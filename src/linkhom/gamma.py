@@ -52,12 +52,15 @@ from functools import lru_cache
 import numpy as np
 
 from .braids import BraidWord, BraidError, CertificationError, permutation_of
-from .reduced_free import (
+from .reduced_free import (  # the size limit is re-exported from here
+    MAX_BASIS_SIZE,
+    MAX_STRANDS,
     BasicCommutator,
     CommutatorBasis,
+    LimitError,
     RankError,
+    admit_strands,
     artin_act,
-    basis_size_formula,
     commutator_word,
     enumerate_basic_commutators,
     rfg_normal_form,
@@ -69,29 +72,6 @@ _INT64_SAFE = 2**62
 # at 4 columns, 14 against 47 us at 8; at n = 6 the layers win from about
 # 16 columns on.
 _NARROW = 8
-# The representation is admitted up to 7 strands, a basis of 2372.  At 8
-# strands (16072) one dense matrix alone takes 2 GB.
-MAX_STRANDS = 7
-MAX_BASIS_SIZE = basis_size_formula(MAX_STRANDS)
-
-
-class LimitError(ValueError):
-    """A well-formed input beyond the admitted size of the representation."""
-
-
-def admit_strands(n: int) -> None:
-    """Refuse, before any allocation, a strand count whose basis is too large.
-
-    The basis size grows with n, so past the limit only the first size
-    beyond it is computed: a huge n costs nothing to refuse.
-    """
-    if n > MAX_STRANDS:
-        size = basis_size_formula(MAX_STRANDS + 1)
-        raise LimitError(
-            f"{n} strands need a basis of {'at least ' if n > MAX_STRANDS + 1 else ''}"
-            f"{size} commutators, above the limit of {MAX_BASIS_SIZE} "
-            f"({MAX_STRANDS} strands)"
-        )
 
 
 def _max_abs(a: np.ndarray) -> int:
@@ -340,9 +320,6 @@ class GammaMatrix:
             and self.basis.order == other.basis.order
             and bool(np.array_equal(self.matrix, other.matrix))
         )
-
-    def entry(self, row: BasicCommutator, col: BasicCommutator) -> int:
-        return int(self.matrix[self.basis.index_of(row), self.basis.index_of(col)])
 
     def column(self, col: BasicCommutator) -> dict[BasicCommutator, int]:
         j = self.basis.index_of(col)

@@ -8,6 +8,13 @@ bookkeeping is what lets :meth:`IntegerLattice.solve` return an exact
 integer combination of the *original* generators, which downstream code
 replays as a certified move sequence.
 
+The same elimination yields the integer relations among the generators:
+the recipe of every generator that reduces to zero is kept in
+:attr:`IntegerLattice.kernel`.  Each reduction step is unimodular on the
+recipes, so row recipes and kernel recipes together stay a basis of
+``Z^count``; as the rows are independent, the kernel recipes are a basis
+of all relations.  :func:`kernel_basis` is a view of that list.
+
 Everything here is plain Python integer arithmetic; no floating point.
 """
 
@@ -31,20 +38,21 @@ class IntegerLattice:
 
     def __init__(self, dim: int, generators: Iterable[Sequence[int]] = ()) -> None:
         self.dim = dim
-        self.generators = []
+        self.generators = 0
         self.rows = []
         self.recipes = []
+        self.kernel = []
         for g in generators:
             self.add(g)
 
     def add(self, vec: Sequence[int]) -> None:
         if len(vec) != self.dim:
             raise ValueError(f"vector of length {len(vec)} in a lattice of dimension {self.dim}")
-        self.generators.append([int(v) for v in vec])
+        self.generators += 1
         row = [int(v) for v in vec]
-        recipe = [0] * len(self.generators)
+        recipe = [0] * self.generators
         recipe[-1] = 1
-        for stored in self.recipes:
+        for stored in self.recipes + self.kernel:
             stored.append(0)
         self._reduce_in(row, recipe)
         self._normalize()
@@ -54,6 +62,7 @@ class IntegerLattice:
         while True:
             j = _pivot(row)
             if j is None:
+                self.kernel.append(recipe)
                 return
             while k < len(self.rows):
                 pj = _pivot(self.rows[k])
@@ -120,7 +129,7 @@ class IntegerLattice:
         reduced, used = self.reduce(vec)
         if any(reduced):
             return None
-        coeffs = [0] * len(self.generators)
+        coeffs = [0] * self.generators
         for k, q in enumerate(used):
             if q:
                 for idx, r in enumerate(self.recipes[k]):
@@ -129,32 +138,12 @@ class IntegerLattice:
 
 
 def kernel_basis(rows: Sequence[Sequence[int]], dim: int) -> list[Vector]:
-    """Basis of the left kernel: all c with sum_k c_k rows[k] = 0."""
-    count = len(rows)
-    aug = [list(map(int, rows[k])) + [1 if j == k else 0 for j in range(count)] for k in range(count)]
-    # echelon-reduce on the first `dim` columns only
-    reduced: list[list[int]] = []
-    for row in aug:
-        while True:
-            j = _pivot(row[:dim])
-            if j is None:
-                break
-            placed = False
-            for other in reduced:
-                oj = _pivot(other[:dim])
-                if oj == j:
-                    q = row[j] // other[j]
-                    for idx in range(len(row)):
-                        row[idx] -= q * other[idx]
-                    if row[j]:
-                        other[:], row[:] = row[:], other[:]
-                    placed = True
-                    break
-            if not placed:
-                reduced.append(row)
-                break
-    kernel = [tuple(row[dim:]) for row in aug if _pivot(row[:dim]) is None]
-    return kernel
+    """Basis of the left kernel: all c with sum_k c_k rows[k] = 0.
+
+    The relations that :class:`IntegerLattice` records while it
+    echelonizes the rows; see the module docstring.
+    """
+    return [tuple(c) for c in IntegerLattice(dim, rows).kernel]
 
 
 def gcd_all(values: Iterable[int]) -> int:

@@ -238,6 +238,7 @@ def _multiply_by_letter(series: MagnusSeries, k: int, sign: int) -> MagnusSeries
 
 def magnus_expand(w: ReducedWord) -> MagnusSeries:
     """Multiplicative expansion x_k -> 1 + X_k, x_k^{-1} -> 1 - X_k."""
+    admit_strands(w.rank)  # a series can hold a term for every basis element
     series = MagnusSeries.one(w.rank)
     for k, sign in w.letters:
         series = _multiply_by_letter(series, k, sign)
@@ -266,10 +267,6 @@ class BasicCommutator:
     @property
     def weight(self) -> int:
         return len(self.sequence)
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.sequence)
 
     def key(self) -> str:
         return ".".join(map(str, self.sequence))
@@ -328,13 +325,11 @@ class CommutatorBasis:
             hi += 1
         return range(lo, hi)
 
-    def sequences(self) -> list[tuple[int, ...]]:
-        return [alpha.sequence for alpha in self.elements]
-
 
 @lru_cache(maxsize=None)
 def enumerate_basic_commutators(n: int, order: str = "weight-lex") -> CommutatorBasis:
     """All sequences (i_1,..,i_l), l <= n, distinct entries, i_1 minimal."""
+    admit_strands(n)  # the basis grows about tenfold per strand
     if n < 1:
         raise RankError(f"rank must be positive, got {n}")
     seqs: list[tuple[int, ...]] = []
@@ -360,6 +355,31 @@ def weight_size_formula(n: int, weight: int) -> int:
     return sum(
         math.factorial(k) // math.factorial(k - weight + 1) for k in range(weight - 1, n)
     )
+
+
+# The representation is admitted up to 7 strands, a basis of 2372.  At 8
+# strands (16072) one dense matrix alone takes 2 GB.
+MAX_STRANDS = 7
+MAX_BASIS_SIZE = basis_size_formula(MAX_STRANDS)
+
+
+class LimitError(ValueError):
+    """A well-formed input beyond the admitted size of the basis."""
+
+
+def admit_strands(n: int) -> None:
+    """Refuse, before any allocation, a strand count whose basis is too large.
+
+    The basis size grows with n, so past the limit only the first size
+    beyond it is computed: a huge n costs nothing to refuse.
+    """
+    if n > MAX_STRANDS:
+        size = basis_size_formula(MAX_STRANDS + 1)
+        raise LimitError(
+            f"{n} strands need a basis of {'at least ' if n > MAX_STRANDS + 1 else ''}"
+            f"{size} commutators, above the limit of {MAX_BASIS_SIZE} "
+            f"({MAX_STRANDS} strands)"
+        )
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,44 @@
+"""The benchmark reaches into the library by name: keep those names alive.
+
+``bench/spans.py`` wraps the functions it lists in ``TARGETS`` and
+``SETUP_TARGETS`` for ``bench/run.py --trace 1``, and ``bench/run.py``
+gates its timed section on the ``cache_info`` of three cached functions.
+A rename in ``src/`` fails here instead of breaking those silently.  The
+test only reads ``bench/``.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_trace_targets_and_cache_gate_resolve():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import spans
+    finally:
+        sys.path.remove(str(BENCH))
+    from linkhom import claspers, gamma
+
+    mods = spans._modules()
+    targets = spans.TARGETS + spans.SETUP_TARGETS
+
+    def lookup(modname, attr):
+        owner = mods[modname]
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        return owner
+
+    originals = [lookup(m, a) for m, a in targets]
+    tracer = spans.Tracer()
+    try:
+        tracer.install(setup=True)
+        for (modname, attr), original in zip(targets, originals):
+            assert lookup(modname, attr) is not original, f"{modname}.{attr} not wrapped"
+    finally:
+        tracer.uninstall()
+    assert [lookup(m, a) for m, a in targets] == originals
+    for cached in (gamma.generator_matrix, claspers.comb_clasper_braid,
+                   claspers.enumerate_comb_claspers):
+        assert callable(cached.cache_info), cached.__name__

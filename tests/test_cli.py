@@ -153,7 +153,7 @@ def test_closure_eq_exit_codes_and_witness(capsys, tmp_path):
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="this interpreter has no int-to-str digit cap")
 def test_closure_eq_prints_multipliers_past_the_digit_cap(capsys, tmp_path):
-    label = "seed11-258-n5-1e3"
+    label = "moves-n5-1e150"
     n, nu1, nu2 = PAST_CAP_PAIRS[label]
     paths = []
     for name, nu in (("v1.json", nu1), ("v2.json", nu2)):
@@ -193,6 +193,23 @@ def test_oversize_integers_in_input_are_data_errors(capsys, tmp_path):
         assert code == 65
         assert out == ""
         assert "cannot read clasp vector" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 3, "nu": {"1.2": 1.5}}',
+    '{"n": 3.9, "nu": {"1.2": 1}}',
+    '{"n": 3, "nu": {"1.2": true}}',
+])
+def test_non_integer_json_values_are_data_errors(capsys, tmp_path, text):
+    # int() would truncate these to a valid vector
+    path = tmp_path / "v.json"
+    path.write_text(text)
+    for argv in (("build", str(path)), ("pc", str(path), "-i", "1", "-j", "2"),
+                 ("closure-eq", str(path), str(path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 65
+        assert out == ""
+        assert "expected an integer" in err
 
 
 def test_tables_dump(capsys):
@@ -254,6 +271,17 @@ def test_eight_strands_refused_before_allocation(capsys, tmp_path):
         assert code == 65
         assert out == ""
         assert "16072" in err and "limit of 2372" in err
+
+
+def test_free_group_commands_refused_past_the_limit(capsys):
+    # the basis grows about tenfold per rank: refused before enumerating it
+    for argv in (("basis", "-n", "8"), ("nf", "x8"), ("nf", "-n", "8", "x1"),
+                 ("magnus", "x1 x8")):
+        code, out, err = run(capsys, *argv)
+        assert code == 65
+        assert out == ""
+        assert "16072" in err and "limit of 2372" in err
+    assert run(capsys, "nf", "x7")[0] == 0
 
 
 def test_comb_enumeration_refused_past_the_limit(capsys, tmp_path):

@@ -85,6 +85,32 @@ def test_kernel_random(rng=None):
             )
         rank = IntegerLattice(dim, rows).rank
         assert len(kernel) == count - rank
+    # saturation: a primitive relation lies in the span of the basis
+    for _ in range(40):
+        dim = rnd.randint(1, 4)
+        base = [tuple(rnd.randint(-5, 5) for _ in range(dim)) for _ in range(rnd.randint(1, 5))]
+        a = [rnd.randint(-4, 4) for _ in base]
+        if gcd_all(a) != 1:
+            continue
+        rows = base + [tuple(sum(c * r[j] for c, r in zip(a, base)) for j in range(dim))]
+        assert (*a, -1) in IntegerLattice(len(rows), kernel_basis(rows, dim))
+
+
+def test_kernel_grows_with_the_lattice():
+    # the relations recorded while adding rows one at a time span the same
+    # lattice as those of an elimination in the reverse order
+    rnd = random.Random(5)
+    for _ in range(30):
+        dim = rnd.randint(1, 4)
+        rows = [tuple(rnd.randint(-4, 4) for _ in range(dim)) for _ in range(rnd.randint(1, 7))]
+        lat = IntegerLattice(dim)
+        for k, row in enumerate(rows, start=1):
+            lat.add(row)
+            grown = IntegerLattice(k, lat.kernel)
+            other = IntegerLattice(k, [c[::-1] for c in kernel_basis(rows[:k][::-1], dim)])
+            assert grown.rank == other.rank == k - lat.rank
+            assert all(c in grown for c in other.rows)
+            assert all(c in other for c in grown.rows)
 
 
 def test_exact_determinant():
