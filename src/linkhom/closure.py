@@ -17,8 +17,8 @@ top degree.  :func:`closure_equivalent` decides orbit membership in
 layers:
 
 * degree-1 values never move: unequal means distinct;
-* 3 strands: the triple number is a complete invariant modulo the gcd of
-  the degree-1 values;
+* 3 strands run the same layers below, with degree 1 as the mid degree,
+  which never moves;
 * the first moving degree has constant increments, so reachability there
   is an exact integer-lattice membership;
 * the top degree has path-dependent increments, but the changes
@@ -48,6 +48,7 @@ from .braids import BraidError, CertificationError
 from .claspers import (
     ClaspVector,
     CombClasper,
+    _json_int,
     comb_power_product,
     enumerate_comb_claspers,
     read_clasp_numbers,
@@ -117,7 +118,11 @@ class Move:
 
     @classmethod
     def from_json(cls, data: dict) -> "Move":
-        return cls(str(data["table"]), int(data["row"]), int(data["multiplier"]))
+        try:
+            row, multiplier = _json_int(data["row"]), _json_int(data["multiplier"])
+            return cls(str(data["table"]), row, multiplier)
+        except (KeyError, TypeError) as exc:
+            raise BraidError(f"invalid move object: {exc!r}") from exc
 
 
 @dataclass
@@ -256,8 +261,8 @@ def partial_conjugate(v: ClaspVector, pc: PartialConjugation) -> ClaspVector:
 
 @lru_cache(maxsize=None)
 def _n3_rows() -> tuple[MoveRow, ...]:
-    """Increment rows of the six n=3 partial conjugations, derived by probing
-    the word-level operation on unit vectors."""
+    """Increment rows of the six n=3 partial conjugations, derived by
+    applying :func:`partial_conjugate` (on probe columns) to unit vectors."""
     deg1 = ((1, 2), (1, 3), (2, 3))
     rows: list[MoveRow] = []
     pcs = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
@@ -351,29 +356,6 @@ def _certify(v1: ClaspVector, v2: ClaspVector, witness: list[Move]) -> OrbitVerd
     return OrbitVerdict(EQUIVALENT, witness)
 
 
-def _decide_n3(v1: ClaspVector, v2: ClaspVector) -> OrbitVerdict:
-    (d1, _res1) = milnor_triplet(v1)
-    g = gcd_all(d1)
-    diff = v2.get((1, 2, 3)) - v1.get((1, 2, 3))
-    if diff == 0:
-        return _certify(v1, v2, [])
-    if g == 0 or diff % g:
-        return OrbitVerdict(
-            DISTINCT,
-            invariant="triple clasp number nu_123 modulo gcd of the degree-1 values",
-        )
-    rows = _n3_rows()
-    incs = [[sum(sign * v1.get(s) for s, sign in dict(row.increments)[(1, 2, 3)])] for row in rows]
-    lattice = IntegerLattice(1, incs)
-    coeffs = lattice.solve([diff])
-    if coeffs is None:
-        raise CertificationError("triple difference divisible by the gcd has no row combination")
-    witness = [
-        Move(row.table, row.row, c) for row, c in zip(rows, coeffs) if c
-    ]
-    return _certify(v1, v2, witness)
-
-
 def _layered_decision(
     v1: ClaspVector,
     v2: ClaspVector,
@@ -384,10 +366,13 @@ def _layered_decision(
 ) -> OrbitVerdict:
     """Decide the orbit on the mid and top degrees; total on its inputs.
 
-    A row r acts on (mid, top) as mid += D_r and top += C_r + L_r(mid):
-    D_r is its constant mid increment, L_r the linear part of its top
-    increment.  Within a row the sources are disjoint from the targets
-    (checked by ``_validate_row``), so L_r D_r = 0.
+    Every row step is simulated on the clasp vector by
+    :func:`apply_table_move`.  On the two degrees that step acts as
+    mid += D_r and top += C_r + L_r(mid): D_r is its constant mid
+    increment, L_r the linear part of its top increment.  Within a row
+    the sources are disjoint from the targets (checked by
+    ``_validate_row``), so L_r D_r = 0.  This affine form is what makes
+    the layers below exact.
 
     The mid degree is an integer-lattice membership.  The top residual is
     then a membership in the lattice of free moves and of loops, which
@@ -415,51 +400,17 @@ def _layered_decision(
     n = v1.n
     mid_seqs = _degree_seqs(n, mid_degree)
     top_seqs = _degree_seqs(n, top_degree)
-    mid_index = {s: k for k, s in enumerate(mid_seqs)}
 
-    # Rows act on (mid, top) integer tuples: the mid increment of a row is a
-    # constant vector (its sources sit below mid degree and never move), the
-    # top increment is affine in the current mid values.
-    mid_incs = [_increment_vector(row, mid_seqs, v1.get) for row in gen_rows]
-    top_const: list[tuple[int, ...]] = []
-    top_linear: list[tuple[tuple[tuple[int, int], ...], ...]] = []
-    for row in gen_rows:
-        incs = dict(row.increments)
-        const = []
-        linear = []
-        for seq in top_seqs:
-            pairs = incs.get(seq, ())
-            const.append(
-                sum(sign * v1.get(src) for src, sign in pairs if src not in mid_index)
-            )
-            linear.append(
-                tuple((mid_index[src], sign) for src, sign in pairs if src in mid_index)
-            )
-        top_const.append(tuple(const))
-        top_linear.append(tuple(linear))
-
-    def top_inc(r: int, mid: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
-            c + sum(sign * mid[j] for j, sign in terms)
-            for c, terms in zip(top_const[r], top_linear[r])
-        )
-
-    def run(state: tuple, steps: list[tuple[int, int]]) -> tuple:
-        for r, mult in steps:
-            mid, top = state
-            state = (
-                tuple(m + mult * d for m, d in zip(mid, mid_incs[r])),
-                tuple(t + mult * d for t, d in zip(top, top_inc(r, mid))),
-            )
-        return state
-
-    state1 = (_values(v1, mid_seqs), _values(v1, top_seqs))
-    state2 = (_values(v2, mid_seqs), _values(v2, top_seqs))
+    def run(v: ClaspVector, steps: list[tuple[int, int]]) -> ClaspVector:
+        for r, m in steps:
+            v = apply_table_move(v, gen_rows[r], m)
+        return v
 
     # Mid-degree layer: constant increments, exact lattice membership.
+    mid_incs = [_increment_vector(row, mid_seqs, v1.get) for row in gen_rows]
     mid_lattice = IntegerLattice(len(mid_seqs), mid_incs)
-    diff_mid = _sub(state2[0], state1[0])
-    coeffs = mid_lattice.solve(diff_mid)
+    target_mid = _values(v2, mid_seqs)
+    coeffs = mid_lattice.solve(_sub(target_mid, _values(v1, mid_seqs)))
     if coeffs is None:
         return OrbitVerdict(
             DISTINCT,
@@ -471,16 +422,17 @@ def _layered_decision(
         # smaller particular solution: canonical representative mod the kernel
         coeffs = list(IntegerLattice(len(gen_rows), kernel).canonical(coeffs))
     path = [(r, c) for r, c in enumerate(coeffs) if c]
-    w = run(state1, path)
+    w = run(v1, path)
     witness = [Move(gen_rows[r].table, gen_rows[r].row, c) for r, c in path]
-    if w[0] != state2[0]:
+    if _values(w, mid_seqs) != target_mid:
         raise CertificationError(f"degree-{mid_degree} lattice solution does not reach the target")
 
     # One top lattice: the free moves (closure-preserving conjugations with
     # invariant sources) first, then each loop whose change is new.
     free_incs = [_increment_vector(row, top_seqs, v1.get) for row in free_rows]
     top_lattice = IntegerLattice(len(top_seqs), free_incs)
-    delta = _sub(state2[1], w[1])
+    w_top = _values(w, top_seqs)
+    delta = _sub(_values(v2, top_seqs), w_top)
     sol = top_lattice.solve(delta)
     loops: list[tuple[bool, list[tuple[int, int]]]] = []
     if sol is None:
@@ -499,9 +451,9 @@ def _layered_decision(
             candidate_loops.append((True, _commutator(a, b, 1)))
         for is_commutator, steps in candidate_loops:
             end = run(w, steps)
-            if end[0] != w[0]:
+            if _values(end, mid_seqs) != target_mid:
                 raise CertificationError(f"a top-degree loop moves the degree-{mid_degree} values")
-            change = _sub(end[1], w[1])
+            change = _sub(_values(end, top_seqs), w_top)
             if change not in top_lattice:
                 top_lattice.add(change)
                 loops.append((is_commutator, steps))
@@ -560,28 +512,25 @@ def closure_equivalent(
         )
     if v1 == v2:
         return _certify(v1, v2, [])
-    if n <= 2:
-        # the degree-1 values are all there is for one or two strands
-        return _certify(v1, v2, [])
-    if n == 3:
-        return _decide_n3(v1, v2)
-    if n == 4:
-        tables = _embedded_tables()
-        return _layered_decision(
-            v1, v2, tables["n4-generating"], tables["n4-closure-moves"], 2, 3
-        )
-    if any(_values(v1, _degree_seqs(5, 1))):
-        return OrbitVerdict(
-            UNKNOWN,
-            note="5-component decision is implemented only for algebraically "
-            "split vectors (all degree-1 values zero)",
-        )
-    if _values(v1, _degree_seqs(5, 2)) != _values(v2, _degree_seqs(5, 2)):
-        return OrbitVerdict(
-            DISTINCT,
-            invariant="degree-2 clasp numbers (invariant when all linking numbers vanish)",
-        )
+    if n == 5:
+        if any(_values(v1, _degree_seqs(5, 1))):
+            return OrbitVerdict(
+                UNKNOWN,
+                note="5-component decision is implemented only for algebraically "
+                "split vectors (all degree-1 values zero)",
+            )
+        if _values(v1, _degree_seqs(5, 2)) != _values(v2, _degree_seqs(5, 2)):
+            return OrbitVerdict(
+                DISTINCT,
+                invariant="degree-2 clasp numbers (invariant when all linking numbers vanish)",
+            )
     tables = _embedded_tables()
-    return _layered_decision(
-        v1, v2, tables["n5-split-generating"], tables["n5-split-closure-moves"], 3, 4
-    )
+    if n == 3:
+        rows, moves = _n3_rows(), ()
+    elif n == 4:
+        rows, moves = tables["n4-generating"], tables["n4-closure-moves"]
+    else:
+        rows, moves = tables["n5-split-generating"], tables["n5-split-closure-moves"]
+    # the mid degree is n - 2 (at n = 3 it is degree 1, which never moves)
+    # and the top degree is n - 1
+    return _layered_decision(v1, v2, rows, moves, n - 2, n - 1)

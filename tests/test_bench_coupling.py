@@ -3,10 +3,14 @@
 ``bench/spans.py`` wraps the functions it lists in ``TARGETS`` and
 ``SETUP_TARGETS`` for ``bench/run.py --trace 1``, and ``bench/run.py``
 gates its timed section on the ``cache_info`` of three cached functions.
-A rename in ``src/`` fails here instead of breaking those silently.  The
-test only reads ``bench/``.
+A rename in ``src/`` fails here instead of breaking those silently.
+``bench/selftest.py`` also calls ``closure_equivalent`` with three
+positional arguments, so it is run here as well.  These tests read and
+execute ``bench/`` but write nothing to it.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,3 +46,10 @@ def test_trace_targets_and_cache_gate_resolve():
     for cached in (gamma.generator_matrix, claspers.comb_clasper_braid,
                    claspers.enumerate_comb_claspers):
         assert callable(cached.cache_info), cached.__name__
+
+
+def test_bench_selftest_passes():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "bench/selftest.py"], cwd=BENCH.parent,
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -292,6 +292,28 @@ def certify(v1, v2, expected_status):
     return verdict
 
 
+def n3_pairs():
+    """Two n = 3 vectors; the second shares the first's degree-1 values
+    unless it draws its own."""
+    degree1 = st.one_of(st.just((0, 0, 0)), st.tuples(*[st.integers(-4, 4)] * 3))
+    return st.tuples(degree1, st.one_of(st.none(), degree1),
+                     st.integers(-30, 30), st.integers(-30, 30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n3_pairs())
+def test_n3_decision_matches_milnor_triplet(pair):
+    d1, other_d1, t1, t2 = pair
+
+    def vector(d, t):
+        return ClaspVector(3, {(1, 2): d[0], (1, 3): d[1], (2, 3): d[2], (1, 2, 3): t})
+
+    v1, v2 = vector(d1, t1), vector(d1 if other_d1 is None else other_d1, t2)
+    expected = EQUIVALENT if milnor_triplet(v1) == milnor_triplet(v2) else DISTINCT
+    certify(v1, v2, expected)
+    certify(v2, v1, expected)
+
+
 def test_two_component_linking_number():
     certify(ClaspVector(2, {(1, 2): 3}), ClaspVector(2, {(1, 2): 3}), EQUIVALENT)
     certify(ClaspVector(2, {(1, 2): 3}), ClaspVector(2, {(1, 2): 2}), DISTINCT)
@@ -469,6 +491,17 @@ def test_errors():
         closure_equivalent(ClaspVector(3, {}), ClaspVector(4, {}))
     with pytest.raises(BraidError):
         closure_equivalent(ClaspVector(6, {}), ClaspVector(6, {}))
+
+
+@pytest.mark.parametrize("data", [
+    {"table": "n4-generating", "row": 1, "multiplier": 1.5},
+    {"table": "n4-generating", "row": True, "multiplier": 2},
+    {"table": "n4-generating", "row": 1, "multiplier": True},
+    {"table": "n4-generating", "row": 1},
+])
+def test_move_from_json_rejects_non_integers(data):
+    with pytest.raises(BraidError, match="invalid move object"):
+        Move.from_json(data)
 
 
 def test_verdict_json_round_trip():
