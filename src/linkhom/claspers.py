@@ -51,9 +51,10 @@ from .gamma import (
     gamma_apply,
     probe_block,
 )
-from .reduced_free import enumerate_basic_commutators
+from .reduced_free import LimitError, enumerate_basic_commutators
 
 CLASP_ORDER = "degree-lex"
+MAX_BUILD_LETTERS = 10**6  # clasp_vector_to_braid takes about 1 s and 150 MB for these
 
 
 @dataclass(frozen=True)
@@ -207,12 +208,16 @@ def _json_int(value: object) -> int:
 
 
 def clasp_vector_to_braid(v: ClaspVector) -> BraidWord:
-    """Ordered product of comb-braid powers in degree-lex order."""
+    """Ordered product of comb-braid powers in degree-lex order, refused if it
+    would have more than :data:`MAX_BUILD_LETTERS` letters before reduction."""
+    powers = [(c, e) for c in enumerate_comb_claspers(v.n) if (e := v.get(c.sequence))]
+    letters = sum(abs(e) * len(comb_clasper_braid(c, v.n)) for c, e in powers)
+    if letters > MAX_BUILD_LETTERS:
+        raise LimitError(f"the braid word of this clasp vector has up to {letters} letters, "
+                         f"above the limit of {MAX_BUILD_LETTERS}")
     word = BraidWord.identity(v.n)
-    for c in enumerate_comb_claspers(v.n):
-        e = v.get(c.sequence)
-        if e:
-            word = word * comb_clasper_braid(c, v.n) ** e
+    for c, e in powers:
+        word = word * comb_clasper_braid(c, v.n) ** e
     return word
 
 
@@ -220,7 +225,8 @@ def clasp_vector_to_braid(v: ClaspVector) -> BraidWord:
 def comb_kernel(c: CombClasper, n: int) -> UnipotentKernel:
     """gamma of the comb braid, kept as its weight-raising part (cached)."""
     basis = enumerate_basic_commutators(n)
-    return UnipotentKernel.of_word(comb_clasper_braid(c, n), c.degree, basis)
+    return UnipotentKernel.of_images(
+        lambda x: gamma_apply(comb_clasper_braid(c, n), x, basis), c.degree, basis)
 
 
 def comb_power_product(factors: list[tuple[CombClasper, int]], n: int, x: np.ndarray) -> np.ndarray:
@@ -314,9 +320,9 @@ def extract_clasp_vector(b: BraidWord) -> ClaspVector:
     numbers off it with :func:`read_clasp_numbers`; no strand is deleted
     and no word is built.
     """
+    n = b.strands
+    admit_strands(n)  # before is_pure() builds a permutation of n entries
     if not b.is_pure():
         raise BraidError("clasp numbers are defined for pure braids only")
-    n = b.strands
-    admit_strands(n)
     probes = gamma_apply(b, probe_block(n), enumerate_basic_commutators(n))
     return read_clasp_numbers(n, probes)

@@ -4,14 +4,17 @@ Subcommands: basis, magnus, nf, act, gamma, braid-eq, clasp, build, pc,
 closure-eq, tables.  Braid words use the ``s<k>`` / ``a<i>,<j>`` grammar,
 reduced-free-group words use ``x<k>`` tokens; both accept a ``^-1``
 suffix.  When ``-n`` is omitted it is inferred as the smallest strand
-count on which the input words parse.
+count on which the input words parse.  An option is accepted only where
+it is read (``-n`` by basis, magnus, nf, act, gamma, braid-eq and clasp,
+``--order`` by basis, nf and gamma) and exits 64 elsewhere.
 
 Exit codes: 0 success (also true / Equivalent), 1 false / Distinct,
 2 Unknown (only closure-eq on 5 components with nonzero linking numbers,
 outside the classification), 64 usage error, 65 data error (unreadable or
 invalid files, values in them that are not JSON integers, integers of more
 than 4300 digits, or inputs beyond the admitted size: every subcommand but
-act and tables refuses n >= 8, basis, nf and magnus included).
+act and tables refuses n >= 8, basis, nf and magnus included, before
+parsing; build refuses more than ``claspers.MAX_BUILD_LETTERS`` letters).
 
 closure-eq witness multipliers can exceed 4300 decimal digits; a Python
 consumer of its JSON output needs ``sys.set_int_max_str_digits(0)``.
@@ -58,43 +61,44 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **kwargs):
-        p = sub.add_parser(name, help=help_text, **kwargs)
-        p.add_argument("-n", "--strands", type=int, default=None,
-                       help="strand count / rank (default: inferred from the input)")
+    def add(name, help_text, strands=True, order=False):
+        p = sub.add_parser(name, help=help_text)
+        if strands:
+            p.add_argument("-n", "--strands", type=int,
+                           help="strand count / rank (default: inferred from the input)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--order", default="weight-lex",
-                       choices=("weight-lex", "weight-revlex"),
-                       help="basis order tag for commutator output")
+        if order:
+            p.add_argument("--order", default="weight-lex", choices=("weight-lex", "weight-revlex"),
+                           help="basis order tag for commutator output")
         return p
 
-    add("basis", "list the basic-commutator basis")
+    add("basis", "list the basic-commutator basis", order=True)
     p = add("magnus", "expand a reduced-free-group word into the square-free series")
     p.add_argument("word")
-    p = add("nf", "normal-form exponents of a reduced-free-group word")
+    p = add("nf", "normal-form exponents of a reduced-free-group word", order=True)
     p.add_argument("word")
     p = add("act", "act on a reduced-free-group word by a braid")
     p.add_argument("braid")
     p.add_argument("word")
-    p = add("gamma", "matrix of a braid word in the linear representation")
+    p = add("gamma", "matrix of a braid word in the linear representation", order=True)
     p.add_argument("braid")
     p = add("braid-eq", "decide link-homotopy equality of two braid words")
     p.add_argument("braid1")
     p.add_argument("braid2")
     p = add("clasp", "clasp-number normal form of a pure braid word")
     p.add_argument("braid")
-    p = add("build", "braid word of a clasp vector (JSON file, '-' for stdin)")
+    p = add("build", "braid word of a clasp vector (JSON file, '-' for stdin)", False)
     p.add_argument("vector")
-    p = add("pc", "apply a partial conjugation to a clasp vector")
+    p = add("pc", "apply a partial conjugation to a clasp vector", False)
     p.add_argument("vector")
     p.add_argument("-i", "--strand", type=int, required=True,
                    help="strand whose loop class is conjugated")
     p.add_argument("-j", "--conjugator", type=int, required=True)
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
-    p = add("closure-eq", "decide link-homotopy of the closures of two clasp vectors")
+    p = add("closure-eq", "decide link-homotopy of the closures of two clasp vectors", False)
     p.add_argument("vector1")
     p.add_argument("vector2")
-    p = add("tables", "dump the embedded clasp-number move tables")
+    p = add("tables", "dump the embedded clasp-number move tables", False)
     p.add_argument("--table", default=None, help="only this table id")
     return parser
 
@@ -134,9 +138,12 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(old)
 
 
-def _braid(args, text: str) -> BraidWord:
-    n = args.strands if args.strands is not None else infer_strands(text)
-    return parse_braid_word(text, n)
+def _braids(args, *texts: str) -> list[BraidWord]:
+    """The words on the given or inferred strand count, admitted before
+    parsing, which expands ``a<i>,<j>`` tokens into 2 (j - i) letters."""
+    n = args.strands if args.strands is not None else max(map(infer_strands, texts))
+    admit_strands(n)
+    return [parse_braid_word(text, n) for text in texts]
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -182,8 +189,7 @@ def _run(args) -> int:
         return EX_OK
 
     if args.command == "gamma":
-        braid = _braid(args, args.braid)
-        admit_strands(braid.strands)
+        (braid,) = _braids(args, args.braid)
         matrix = gamma_matrix(braid, enumerate_basic_commutators(braid.strands, args.order))
         payload = matrix.to_json()
         lines = [" ".join(f"{v:4d}" for v in row) for row in payload["rows"]]
@@ -191,16 +197,12 @@ def _run(args) -> int:
         return EX_OK
 
     if args.command == "braid-eq":
-        n = args.strands
-        if n is None:
-            n = max(infer_strands(args.braid1), infer_strands(args.braid2))
-        equal = braid_equal_lh(parse_braid_word(args.braid1, n), parse_braid_word(args.braid2, n))
+        equal = braid_equal_lh(*_braids(args, args.braid1, args.braid2))
         _emit(args, {"equal": equal}, ["true" if equal else "false"])
         return EX_OK if equal else EX_FALSE
 
     if args.command == "clasp":
-        braid = _braid(args, args.braid)
-        vector = extract_clasp_vector(braid)
+        vector = extract_clasp_vector(*_braids(args, args.braid))
         payload = vector.to_json()
         lines = [f"{key}: {value}" for key, value in payload["nu"].items()]
         _emit(args, payload, lines or ["(trivial)"])
@@ -281,18 +283,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args)
-    except _UsageError as exc:
-        print(f"linkhom: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except LimitError as exc:
+    except (LimitError, _DataError) as exc:
         print(f"linkhom: {exc}", file=sys.stderr)
         return EX_DATA
-    except (BraidError, RankError) as exc:
+    except (_UsageError, BraidError, RankError) as exc:
         print(f"linkhom: {exc}", file=sys.stderr)
         return EX_USAGE
-    except _DataError as exc:
-        print(f"linkhom: {exc}", file=sys.stderr)
-        return EX_DATA
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ from .claspers import (
     enumerate_comb_claspers,
     read_clasp_numbers,
 )
-from .gamma import admit_strands, probe_block
+from .gamma import probe_block
 from .intlattice import IntegerLattice, gcd_all
 
 EQUIVALENT = "equivalent"
@@ -245,7 +245,6 @@ def partial_conjugate(v: ClaspVector, pc: PartialConjugation) -> ClaspVector:
     i, j = pc.strand, pc.conjugator
     if max(i, j) > n:
         raise BraidError(f"strands ({i},{j}) out of range for a braid on {n} strands")
-    admit_strands(n)
     b = [(c, v.get(c.sequence)) for c in enumerate_comb_claspers(n) if v.get(c.sequence)]
     theta = [(c, e) for c, e in b if i not in c.sequence]
     lam = CombClasper((min(i, j), max(i, j)))

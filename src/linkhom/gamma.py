@@ -15,9 +15,9 @@ they can check each other:
   split on where i and i+1 sit inside the index sequence, including the
   signed sum over reversed subsequences when i leads and i+1 follows.
   This is the production route: :func:`generator_matrix` builds sigma_i
-  from it, derives sigma_i^-1 exactly, and caches both as sparse
-  gather-scatter kernels that :func:`gamma_apply` applies letter by
-  letter;
+  from it, derives sigma_i^-1 exactly as ``sigma_i (sigma_i^2)^-1``, and
+  caches both as sparse gather-scatter kernels that :func:`gamma_apply`
+  applies letter by letter;
 * the definitional route (:func:`gamma_matrix_definitional`): act on each
   basis commutator word, then take the normal form; it is the oracle the
   tests compare the closed form against.
@@ -36,7 +36,8 @@ A braid in the d-th lower central series term of the pure braid group,
 such as a comb braid of degree d, has ``gamma(b) = I + N`` with ``N``
 raising weight by at least d; :class:`UnipotentKernel` keeps that ``N``
 sparse and applies any power of ``I + N`` as a short binomial sum, so a
-power costs the same whatever its exponent.
+power costs the same whatever its exponent.  ``sigma_i^2 = A_{i,i+1}`` is
+such a braid, so exponent -1 gives the inverse of its matrix.
 
 Arithmetic is int64 while a running bound proves it safe and Python
 integers beyond, so all results are exact regardless of word length.
@@ -48,6 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -169,7 +171,7 @@ class _Runs:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorKernel:
-    """One generator matrix ``G`` in dense and gather-scatter form (read-only).
+    """One generator matrix ``G`` in gather-scatter form (read-only).
 
     ``runs`` lists the nonzero entries of ``G`` row by row; ``G @ x`` for a
     vector or a narrow block, stacked into one vector (see :func:`_stack`),
@@ -182,7 +184,6 @@ class GeneratorKernel:
     and no partial sum exceeds that bound either.
     """
 
-    dense: np.ndarray
     runs: _Runs
     layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     row_sum: int
@@ -201,9 +202,9 @@ class GeneratorKernel:
             (rows[rank == k], cols[rank == k], coeffs[rank == k, None])
             for k in range(int(rank.max()) + 1)
         )
-        for a in (g, *itertools.chain(*layers)):
+        for a in itertools.chain(*layers):
             a.flags.writeable = False
-        return cls(g, runs, layers, int(np.abs(g).sum(axis=1).max()))
+        return cls(runs, layers, int(np.abs(g).sum(axis=1).max()))
 
     def apply(self, x: np.ndarray, width: int = 1) -> np.ndarray:
         """``G @ x`` for a wide block, or for ``width`` columns stacked in a vector."""
@@ -243,14 +244,15 @@ class UnipotentKernel:
     row_sum: int
 
     @classmethod
-    def of_word(cls, b: BraidWord, reach: int, basis: CommutatorBasis) -> UnipotentKernel:
+    def of_images(cls, images: Callable, reach: int, basis: CommutatorBasis) -> UnipotentKernel:
+        """From ``images(x) = (I + N) @ x``, read on the basis columns it needs."""
         n, m = basis.rank, len(basis)
         if not 1 <= reach < n:
             raise BraidError(f"weight reach {reach} out of range for {n} strands")
         width = basis.weight_range(n - reach + 1).start
         weights = np.array([alpha.weight for alpha in basis.elements])
         identity = np.eye(m, width, dtype=np.int64)
-        nil = gamma_apply(b, identity, basis) - identity
+        nil = images(identity) - identity
         rows, cols = np.nonzero(nil)
         if (weights[rows] < weights[cols] + reach).any():
             raise CertificationError(f"gamma(b) - I does not raise weight by {reach}")
@@ -345,32 +347,26 @@ def _definitional_column(b: BraidWord, alpha: BasicCommutator, basis: Commutator
 
 
 def _certified_inverse(plus: GeneratorKernel, basis: CommutatorBasis) -> np.ndarray:
-    """Exact inverse of a generator matrix, by block substitution over weights.
+    """Exact inverse of a generator matrix ``G``, as ``G (G^2)^-1``.
 
-    A generator sends a commutator of weight w to weights w and w + 1, so
-    ``G = D + L`` with ``D`` the weight-diagonal blocks and ``L`` the
-    blocks one weight below them.  Each block ``D_w`` is an involution
-    (checked), so ``G^-1`` is block lower-triangular with diagonal ``D``,
-    and row block w left of the diagonal is ``-D_w L_w G^-1[w - 1, :]``.
-    The result is certified by ``G @ G^-1 = I``, computed where the row-sum
-    bound shows int64 cannot wrap, so the check is exact.
+    ``sigma_i^2 = A_{i,i+1}`` is a pure braid, so ``G^2 = I + N`` with ``N``
+    raising weight (checked by :meth:`UnipotentKernel.of_images`), and
+    ``(G^2)^-1`` is the terminating series of :meth:`UnipotentKernel.power`.
+    It is applied to the identity in blocks of ``_NARROW`` columns, then
+    ``G``.  The result is certified by ``G @ G^-1 = I``, computed where the
+    row-sum bound shows int64 cannot wrap, so the check is exact.
     """
-    g = plus.dense
-    inv = np.zeros_like(g)
-    prev = slice(0, 0)
-    for weight in range(1, basis.rank + 1):
-        rng = basis.weight_range(weight)
-        cur = slice(rng.start, rng.stop)
-        d = g[cur, cur]
-        if not np.array_equal(d @ d, np.eye(len(rng), dtype=np.int64)):
-            raise CertificationError(f"weight-{weight} diagonal block is not an involution")
-        inv[cur, cur] = d
-        inv[cur, : cur.start] = -d @ (g[cur, prev] @ inv[prev, : cur.start])
-        prev = cur
-    if _max_abs(inv) * plus.row_sum >= _INT64_SAFE:
-        raise CertificationError("derived inverse is too large to certify in int64")
-    if not np.array_equal(plus.apply(inv), np.eye(len(g), dtype=np.int64)):
-        raise CertificationError("derived inverse is not the matrix inverse")
+    m = len(basis)
+    square = UnipotentKernel.of_images(lambda x: _apply_kernels((plus, plus), x), 1, basis)
+    inv = np.empty((m, m), np.int64)
+    for start in range(0, m, _NARROW):
+        identity = np.eye(m, min(_NARROW, m - start), -start, np.int64)
+        block = _apply_kernels((plus,), apply_power_product([(square, -1)], identity))
+        if _max_abs(block) * plus.row_sum >= _INT64_SAFE:
+            raise CertificationError("derived inverse is too large to certify in int64")
+        inv[:, start : start + _NARROW] = block
+        if not np.array_equal(_apply_kernels((plus,), block), identity):
+            raise CertificationError("derived inverse is not the matrix inverse")
     return inv
 
 
@@ -378,12 +374,11 @@ def _certified_inverse(plus: GeneratorKernel, basis: CommutatorBasis) -> np.ndar
 def generator_matrix(n: int, i: int, sign: int, order: str = "weight-lex") -> GeneratorKernel:
     """Kernel of sigma_i^{sign} on n strands (cached).
 
-    sigma_i comes from the closed form; sigma_i^-1 is derived from it
-    exactly and certified to be its matrix inverse.
+    sigma_i comes from the closed form; sigma_i^-1 is derived from its
+    kernel exactly and certified (:func:`_certified_inverse`).
     """
     if not 1 <= i <= n - 1:
         raise BraidError(f"generator index {i} out of range for {n} strands")
-    admit_strands(n)
     if sign == 1:
         return GeneratorKernel.from_dense(closed_form_generator_matrix(n, i, order))
     if sign != -1:
@@ -393,27 +388,31 @@ def generator_matrix(n: int, i: int, sign: int, order: str = "weight-lex") -> Ge
     return GeneratorKernel.from_dense(_certified_inverse(plus, basis))
 
 
-def _apply_word(b: BraidWord, x: np.ndarray, order: str) -> np.ndarray:
-    """``gamma(b) @ x``, one generator kernel per letter from the last (exact).
+def _apply_kernels(kernels: Iterable[GeneratorKernel], x: np.ndarray) -> np.ndarray:
+    """``G_1 @ .. @ G_k @ x`` for the kernels listed last first (exact).
 
     Stays in int64 while a running bound proves it safe: the last scanned
     ``max|x|`` times the row sums of the kernels applied since.  When the
     bound reaches 2**62, ``x`` is scanned again; if the bound is still that
-    large, the rest of the word runs on Python integers.
+    large, the rest runs on Python integers.
     """
     shape = x.shape
     x, width = _stack(x)
     bound = _bound(x)
-    for i, sign in reversed(b.letters):
-        kernel = generator_matrix(b.strands, i, sign, order)
+    for kernel in kernels:
         x, bound = _headroom(x, bound, kernel.row_sum)
         x = kernel.apply(x, width)
     return _unstack(x, shape, width)
 
 
+def _apply_word(b: BraidWord, x: np.ndarray, order: str) -> np.ndarray:
+    """``gamma(b) @ x``, one generator kernel per letter from the last (exact)."""
+    kernels = (generator_matrix(b.strands, i, sign, order) for i, sign in reversed(b.letters))
+    return _apply_kernels(kernels, x)
+
+
 def gamma_matrix(b: BraidWord, basis: CommutatorBasis | None = None) -> GammaMatrix:
     """Matrix of a braid word: product of the generator matrices in word order."""
-    admit_strands(b.strands)
     if basis is None:
         basis = enumerate_basic_commutators(b.strands)
     if basis.rank != b.strands:
@@ -475,7 +474,6 @@ def braid_equal_lh(a: BraidWord, b: BraidWord) -> bool:
     if a.strands != b.strands:
         raise BraidError(f"strand count mismatch: {a.strands} != {b.strands}")
     n = a.strands
-    admit_strands(n)
     basis = enumerate_basic_commutators(n)
     probes = probe_block(n)
     return bool(np.array_equal(gamma_apply(a, probes, basis), gamma_apply(b, probes, basis)))

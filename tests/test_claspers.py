@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkhom import gamma
+from linkhom import claspers, gamma
 from linkhom.braids import (
     BraidError,
     BraidWord,
@@ -61,6 +61,20 @@ def test_comb_enumeration_admits_strands():
         clasp_vector_to_braid(v)
     with pytest.raises(LimitError, match="limit of 2372"):
         v.degree_values(1)
+    # extraction admits before is_pure() builds a permutation of 10^20 entries
+    with pytest.raises(LimitError, match="limit of 2372"):
+        extract_clasp_vector(BraidWord(10**20, ((1, 1), (1, 1))))
+
+
+def test_build_refuses_words_past_the_letter_limit(monkeypatch):
+    # the bound counts |e| letters of each comb word before free reduction
+    assert claspers.MAX_BUILD_LETTERS == 10**6
+    with pytest.raises(LimitError, match="limit of 1000000"):
+        clasp_vector_to_braid(ClaspVector(3, {(1, 2): 10**30}))
+    monkeypatch.setattr(claspers, "MAX_BUILD_LETTERS", 10)
+    assert len(clasp_vector_to_braid(ClaspVector(3, {(1, 2): 3, (1, 3): 1}))) == 10
+    with pytest.raises(LimitError, match="up to 12 letters"):
+        clasp_vector_to_braid(ClaspVector(3, {(1, 2): 4, (1, 3): -1}))
 
 
 def test_comb_clasper_braid_degree_one():

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linkhom.braids import BraidWord, compose, pure_generator_word, unparse_braid_word
 from linkhom.cli import main
@@ -236,6 +240,9 @@ def test_data_errors(capsys, tmp_path):
     assert run(capsys, "build", str(bad))[0] == 65
     bad.write_text(json.dumps({"n": 3, "nu": {"3.1": 1}}))
     assert run(capsys, "build", str(bad))[0] == 65
+    # a braid word of 2 * 10^30 letters, past MAX_BUILD_LETTERS
+    bad.write_text(json.dumps({"n": 3, "nu": {"1.2": 10**30}}))
+    assert run(capsys, "build", str(bad))[:2] == (65, "")
     # semantically incompatible inputs are data errors too
     v3 = tmp_path / "v3.json"
     v4 = tmp_path / "v4.json"
@@ -300,3 +307,177 @@ def test_comb_enumeration_refused_past_the_limit(capsys, tmp_path):
     code, out, _ = run(capsys, "build", str(seven), "--format", "json")
     assert code == 0
     assert json.loads(out)["n"] == 7
+
+
+def test_strands_admitted_before_the_word_is_parsed(capsys, monkeypatch):
+    # parsing expands a<i>,<j> into 2 (j - i) letters and is_pure() builds a
+    # permutation of n entries, so n >= 8 must be refused before either
+    import linkhom.cli as cli
+
+    parse = cli.parse_braid_word
+
+    def guarded(text, n):
+        assert n < 8, f"parsed a braid word on {n} strands"
+        return parse(text, n)
+
+    monkeypatch.setattr(cli, "parse_braid_word", guarded)
+    for argv in (
+        ("clasp", "a1,2999999"),
+        ("gamma", "a1,999999"),
+        ("clasp", "s9999999"),
+        ("clasp", "s99999999999999999999"),
+        ("braid-eq", "s1", "a1,999999"),
+        ("gamma", "-n", "8", "s1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (65, "")
+        assert "limit of 2372" in err
+    assert run(capsys, "clasp", "a1,2")[0] == 0
+
+
+def test_options_are_accepted_only_where_read(capsys, tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"n": 3, "nu": {"1.2": 1}}))
+    vector = str(path)
+    for argv in (
+        ("build", "-n", "3", vector),
+        ("pc", "-n", "3", vector, "-i", "1", "-j", "2"),
+        ("closure-eq", "-n", "3", vector, vector),
+        ("tables", "-n", "3"),
+        ("magnus", "--order", "weight-lex", "x1"),
+        ("act", "--order", "weight-lex", "s1", "x1"),
+        ("braid-eq", "--order", "weight-lex", "s1", "s1"),
+        ("clasp", "--order", "weight-lex", "a1,2"),
+        ("build", "--order", "weight-lex", vector),
+        ("tables", "--order", "weight-lex"),
+    ):
+        assert run(capsys, *argv)[0] == 64, argv
+    for argv in (
+        ("basis", "-n", "3", "--order", "weight-revlex"),
+        ("nf", "-n", "3", "--order", "weight-revlex", "x2 x1"),
+        ("gamma", "-n", "3", "--order", "weight-revlex", "s1"),
+        ("magnus", "-n", "2", "x1"),
+        ("act", "-n", "3", "s1", "x1"),
+        ("braid-eq", "-n", "3", "s1", "s1"),
+        ("clasp", "-n", "3", "a1,2"),
+        ("build", vector),
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+
+
+# ---------------------------------------------------------------------------
+# Grammar fuzz: every call returns a documented exit code and never raises.
+
+_SUBCOMMANDS = ("basis", "magnus", "nf", "act", "gamma", "braid-eq", "clasp", "build",
+                "pc", "closure-eq", "tables", "nope")
+_ARITY = {"magnus": "w", "nf": "w", "act": "bw", "gamma": "b", "braid-eq": "bb",
+          "clasp": "b", "build": "v", "pc": "v", "closure-eq": "vv"}
+# the options each subcommand reads; pc needs -i and -j
+_OPTIONS = {"basis": "nfo", "magnus": "nf", "nf": "nfo", "act": "nf", "gamma": "nfo",
+            "braid-eq": "nf", "clasp": "nf", "build": "f", "pc": "fs", "closure-eq": "f",
+            "tables": "ft"}
+_SMALL = ("1", "2", "3", "4", "0")
+_HUGE = ("9", "2999999", "99999999999999999999")
+_SUFFIX = st.sampled_from(("", "", "^-1", "^2"))
+# file contents, drawn as JSON text so that malformed files are drawn too
+_VECTOR = st.one_of(
+    st.builds(
+        lambda n, nu: json.dumps({"n": n, "nu": nu}),
+        st.sampled_from((3, 3, 4, 4, 1, 8, 10**20, 1.5, "3")),
+        st.dictionaries(
+            st.sampled_from(("1.2", "1.3", "2.3", "1.2.3", "1.3.2", "1.4", "2.4", "3.1", "x")),
+            st.sampled_from((1, -2, 7, 0, 10**30, 1.5, True, "1")),
+            max_size=3,
+        ),
+    ),
+    st.sampled_from(("{broken", "[]", "null", '{"n": 3}', "")),
+)
+
+
+@st.composite
+def cli_calls(draw):
+    """An argv list whose items are strings or ("file", contents) pairs.
+
+    A clean call is well formed for its subcommand, apart from the sizes of
+    its indices, so that it reaches the computation; a noisy one may carry
+    a malformed token, a foreign option or a missing or extra argument.
+    """
+    sub = draw(st.sampled_from(_SUBCOMMANDS))
+    noisy = draw(st.integers(0, 3)) == 0
+    # act expands a<i>,<j> unbounded by design: keep its pure tokens small
+    pure = _SMALL if sub == "act" else _SMALL + _HUGE
+
+    def index(pool):
+        return draw(st.sampled_from(pool[:4]) | st.sampled_from(pool))
+
+    def suffix():
+        return draw(st.sampled_from(("", "^-1", "^2") if noisy else ("", "^-1")))
+
+    def braid():
+        tokens = []
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from("sa?" if noisy else "sa"))
+            if kind == "s":
+                tokens.append(f"s{index(_SMALL + _HUGE)}{suffix()}")
+            elif kind == "a":
+                i, j = index(pure), index(pure)
+                if not noisy:
+                    i, j = sorted((i, j), key=int)
+                tokens.append(f"a{i},{j}{suffix()}")
+            else:
+                tokens.append(draw(st.sampled_from(("s", "a1", "x1", "s-1", "a1,", "s1^"))))
+        return " ".join(tokens)
+
+    def word():
+        tokens = [f"x{index(_SMALL + _HUGE)}{suffix()}" for _ in range(draw(st.integers(0, 3)))]
+        return " ".join(tokens + (draw(st.sampled_from(([], ["y1"], ["s1"]))) if noisy else []))
+
+    kinds = _ARITY.get(sub, "")
+    if noisy:
+        kinds = draw(st.sampled_from((kinds, "", kinds + "b")))
+    argv = [sub]
+    for kind in kinds:
+        argv.append({"b": braid, "w": word, "v": lambda: ("file", draw(_VECTOR))}[kind]())
+    options = list(draw(st.lists(st.sampled_from(_OPTIONS.get(sub, "f")), max_size=3, unique=True)))
+    if sub == "pc" and not (noisy and draw(st.booleans())):
+        options += ["i", "j"]
+    if noisy and draw(st.booleans()):
+        options.append(draw(st.sampled_from("nofijst")))
+    for option in options:
+        argv += {
+            "n": ["-n", draw(st.sampled_from(("3", "4", "2", "8", "99999999999999999999")
+                                              + (("1", "0", "-1", "x") if noisy else ())))],
+            "o": ["--order", draw(st.sampled_from(("weight-lex", "weight-revlex")
+                                                  + (("bogus",) if noisy else ())))],
+            "f": ["--format", draw(st.sampled_from(("text", "json") + (("xml",) if noisy else ())))],
+            "i": ["-i", index(_SMALL + _HUGE)],
+            "j": ["-j", index(_SMALL + ("-1",))],
+            "s": ["--sign", draw(st.sampled_from(("1", "-1") + (("2",) if noisy else ())))],
+            "t": ["--table", draw(st.sampled_from(("n4-closure-moves", "nope")))],
+        }[option]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(cli_calls())
+@example(["clasp", "s99999999999999999999"])
+@example(["clasp", "s9999999"])
+@example(["gamma", "a1,999999"])
+@example(["build", ("file", json.dumps({"n": 3, "nu": {"1.2": 10**30}}))])
+@example(["build", ("file", json.dumps({"n": 3, "nu": {"1.3": 10**6}}))])
+def test_cli_grammar_fuzz(fuzz_dir, argv):
+    args = []
+    for k, item in enumerate(argv):
+        if isinstance(item, tuple):
+            path = fuzz_dir / f"arg{k}.json"
+            path.write_text(item[1])
+            item = str(path)
+        args.append(item)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(args)
+    assert code in (0, 1, 2, 64, 65), (args, code)

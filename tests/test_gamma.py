@@ -19,11 +19,11 @@ from linkhom.gamma import (
     _certified_inverse,
     _max_abs,
     braid_equal_lh,
+    closed_form_generator_matrix,
     gamma_apply,
     gamma_generator_closed_form,
     gamma_matrix,
     gamma_matrix_definitional,
-    generator_matrix,
     probe_block,
     structure_report,
 )
@@ -76,24 +76,35 @@ def test_identity_matrix():
 def test_inverse_generator_is_matrix_inverse():
     for n in (2, 3, 4, 5, 6):
         for i in range(1, n):
-            plus = generator_matrix(n, i, 1).dense
-            minus = generator_matrix(n, i, -1).dense
+            plus = gamma_matrix(BraidWord.sigma(n, i)).matrix
+            minus = gamma_matrix(BraidWord.sigma(n, i, -1)).matrix
             assert np.array_equal(plus @ minus, np.eye(len(plus), dtype=np.int64))
             assert np.array_equal(minus @ plus, np.eye(len(plus), dtype=np.int64))
 
 
+def test_derived_inverse_at_seven_strands():
+    # the letters are applied one by one, not cancelled: the applied
+    # kernels of sigma_1 and its derived inverse multiply to I both ways
+    for letters in (((1, 1), (1, -1)), ((1, -1), (1, 1))):
+        assert gamma_matrix(BraidWord(7, letters)).is_identity()
+
+
 def test_inverse_certification_rejects_corrupted_generators():
     basis = enumerate_basic_commutators(3)
-    good = generator_matrix(3, 1, 1).dense
-    # weight-1 block [[0,1,1],[1,0,0],[0,0,1]] squares to a non-identity
+    good = closed_form_generator_matrix(3, 1)
+    # weight-1 block [[0,1,1],[1,0,0],[0,0,1]] squares to a non-identity,
+    # so G^2 - I does not raise weight
     not_involution = good.copy()
     not_involution[0, 2] = 1
-    # an image two weights up, which block substitution does not see
-    skips_weight = good.copy()
-    skips_weight[basis.index_of(BasicCommutator((1, 2, 3))), 0] = 1
-    for corrupted in (not_involution, skips_weight):
-        with pytest.raises(CertificationError):
-            _certified_inverse(GeneratorKernel.from_dense(corrupted), basis)
+    with pytest.raises(CertificationError, match="raise weight"):
+        _certified_inverse(GeneratorKernel.from_dense(not_involution), basis)
+    # the top-weight block [[-1,-1],[1,1]] squares to 0; the series never
+    # reads top-weight columns, so only the final G @ G^-1 = I sees it
+    top = basis.weight_range(3).start
+    singular_top = good.copy()
+    singular_top[top + 1, top] = 1
+    with pytest.raises(CertificationError, match="not the matrix inverse"):
+        _certified_inverse(GeneratorKernel.from_dense(singular_top), basis)
     # an inverse whose certificate could wrap around in int64
     huge = good.copy()
     huge[basis.index_of(BasicCommutator((1, 2))), 0] = 2**61
@@ -101,6 +112,11 @@ def test_inverse_certification_rejects_corrupted_generators():
         _certified_inverse(GeneratorKernel.from_dense(huge), basis)
     with pytest.raises(CertificationError):
         GeneratorKernel.from_dense(np.eye(3, dtype=np.int64) - np.diag([0, 0, 1]))
+    # an image two weights up is no defect: the series inverts it exactly
+    skips_weight = good.copy()
+    skips_weight[basis.index_of(BasicCommutator((1, 2, 3))), 0] = 1
+    inverse = _certified_inverse(GeneratorKernel.from_dense(skips_weight), basis)
+    assert np.array_equal(skips_weight @ inverse, np.eye(len(basis), dtype=np.int64))
 
 
 def test_braid_relations_hold():
@@ -223,8 +239,8 @@ def test_closed_form_matches_definitional(n):
         basis = enumerate_basic_commutators(n, order)
         for i in range(1, n):
             for sign in (1, -1):
-                oracle = gamma_matrix_definitional(BraidWord(n, ((i, sign),)), basis)
-                assert np.array_equal(generator_matrix(n, i, sign, order).dense, oracle.matrix)
+                letter = BraidWord(n, ((i, sign),))
+                assert gamma_matrix(letter, basis) == gamma_matrix_definitional(letter, basis)
 
 
 def test_closed_form_bad_index():
@@ -410,7 +426,7 @@ def dense_chain(word, basis):
     """gamma(word) as the dense product of the generator matrices in word order."""
     out = np.eye(len(basis), dtype=np.int64)
     for i, sign in word.letters:
-        out = _safe_matmul(out, generator_matrix(word.strands, i, sign, basis.order).dense)
+        out = _safe_matmul(out, gamma_matrix(BraidWord.sigma(word.strands, i, sign), basis).matrix)
     return out
 
 
@@ -430,6 +446,20 @@ def test_sparse_kernel_matches_dense_chain(word, order, data):
     entries = st.lists(st.integers(-(10**6), 10**6), min_size=len(basis), max_size=len(basis))
     vec = np.array(data.draw(entries), dtype=np.int64)
     assert np.array_equal(gamma_apply(word, vec, basis), sparse.astype(object) @ vec.astype(object))
+
+
+def six_strand_words(max_letters):
+    letter = st.tuples(st.integers(1, 5), st.sampled_from((1, -1)))
+    return st.lists(letter, max_size=max_letters).map(lambda w: BraidWord(6, tuple(w)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(six_strand_words(12), six_strand_words(12))
+def test_gamma_is_a_homomorphism_at_six_strands(a, b):
+    # words are concatenated without free reduction, so sigma_i next to
+    # sigma_i^-1 meets the derived inverse kernel as it is
+    product = gamma_matrix(BraidWord(6, a.letters + b.letters)).matrix
+    assert np.array_equal(product, _safe_matmul(gamma_matrix(a).matrix, gamma_matrix(b).matrix))
 
 
 @settings(max_examples=30, deadline=None)
