@@ -5,6 +5,11 @@ reduced free group, the action linearises to a faithful integer matrix
 representation, pure braids acquire a unique clasp-number normal form,
 and partial-conjugation move tables classify braid closures for at most
 4 components and for 5-component algebraically split links.
+
+Only the matrix layer, :mod:`linkhom.gamma`, imports numpy.  Its public
+names are resolved from it when used, so importing the package, or
+running the clasper calculus on clasp vectors and move tables, does not
+load numpy.
 """
 
 from .braids import (
@@ -25,12 +30,15 @@ from .braids import (
     unparse_braid_word,
 )
 from .reduced_free import (
+    MAX_BASIS_SIZE,
     BasicCommutator,
     CommutatorBasis,
     ExponentVector,
+    LimitError,
     MagnusSeries,
     RankError,
     ReducedWord,
+    admit_strands,
     artin_act,
     basis_size_formula,
     commutator_word,
@@ -42,19 +50,6 @@ from .reduced_free import (
     series_invert,
     series_multiply,
     weight_size_formula,
-)
-from .gamma import (
-    MAX_BASIS_SIZE,
-    GammaMatrix,
-    LimitError,
-    StructureReport,
-    admit_strands,
-    braid_equal_lh,
-    closed_form_generator_matrix,
-    gamma_generator_closed_form,
-    gamma_matrix,
-    gamma_matrix_definitional,
-    structure_report,
 )
 from .claspers import (
     ClaspVector,
@@ -80,3 +75,29 @@ from .closure import (
 )
 
 __version__ = "0.1.0"
+
+# Resolved from linkhom.gamma on access (PEP 562), so importing the package
+# does not import numpy; never stored here, so they always read gamma's
+# current bindings.
+_GAMMA_NAMES = frozenset({
+    "GammaMatrix",
+    "StructureReport",
+    "braid_equal_lh",
+    "closed_form_generator_matrix",
+    "gamma_generator_closed_form",
+    "gamma_matrix",
+    "gamma_matrix_definitional",
+    "structure_report",
+})
+
+
+def __getattr__(name: str):
+    if name in _GAMMA_NAMES:
+        from . import gamma
+
+        return getattr(gamma, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _GAMMA_NAMES)

@@ -24,6 +24,11 @@ cached sparse comb kernels (:func:`comb_kernel`); no strand is deleted
 and no braid word is built.  The word-level route (strand deletion and a
 residual word) is kept in the tests as the oracle.
 
+Only the functions that work on matrices (comb kernels, comb powers and
+the probe readout) import :mod:`linkhom.gamma`, and numpy with it, and
+only when called: vectors, comb enumeration and comb braid words stay
+plain integer bookkeeping.
+
 Vectors are serialized as ``{"n": .., "order": "degree-lex",
 "nu": {"1.2": .., ...}}`` with dot-joined sequences as keys.
 """
@@ -33,8 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .braids import (
     BraidError,
@@ -44,14 +48,12 @@ from .braids import (
     invert,
     pure_generator_word,
 )
-from .gamma import (
-    UnipotentKernel,
-    admit_strands,
-    apply_power_product,
-    gamma_apply,
-    probe_block,
-)
-from .reduced_free import LimitError, enumerate_basic_commutators
+from .reduced_free import LimitError, admit_strands, enumerate_basic_commutators
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .gamma import UnipotentKernel
 
 CLASP_ORDER = "degree-lex"
 MAX_BUILD_LETTERS = 10**6  # clasp_vector_to_braid takes about 1 s and 150 MB for these
@@ -224,6 +226,8 @@ def clasp_vector_to_braid(v: ClaspVector) -> BraidWord:
 @lru_cache(maxsize=None)
 def comb_kernel(c: CombClasper, n: int) -> UnipotentKernel:
     """gamma of the comb braid, kept as its weight-raising part (cached)."""
+    from .gamma import UnipotentKernel, gamma_apply
+
     basis = enumerate_basic_commutators(n)
     return UnipotentKernel.of_images(
         lambda x: gamma_apply(comb_clasper_braid(c, n), x, basis), c.degree, basis)
@@ -231,6 +235,8 @@ def comb_kernel(c: CombClasper, n: int) -> UnipotentKernel:
 
 def comb_power_product(factors: list[tuple[CombClasper, int]], n: int, x: np.ndarray) -> np.ndarray:
     """gamma(c_1^e_1 .. c_k^e_k) @ x for comb braids c_i on n strands (exact)."""
+    from .gamma import apply_power_product
+
     return apply_power_product([(comb_kernel(c, n), e) for c, e in factors], x)
 
 
@@ -281,6 +287,8 @@ def _readout_plan(n: int) -> tuple[_DegreeReadout, ...]:
 
 def _cells(cells: list) -> tuple[np.ndarray, np.ndarray]:
     """(row, column) pairs as the index arrays of a fancy lookup."""
+    import numpy as np
+
     rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
     return rows, cols
 
@@ -295,6 +303,10 @@ def read_clasp_numbers(n: int, probes: np.ndarray) -> ClaspVector:
     probes must be P again.  A readout that breaks any of this raises
     :class:`CertificationError`.
     """
+    import numpy as np
+
+    from .gamma import probe_block
+
     basis = enumerate_basic_commutators(n)
     nu: dict[tuple[int, ...], int] = {}
     for plan in _readout_plan(n):
@@ -320,6 +332,8 @@ def extract_clasp_vector(b: BraidWord) -> ClaspVector:
     numbers off it with :func:`read_clasp_numbers`; no strand is deleted
     and no word is built.
     """
+    from .gamma import gamma_apply, probe_block
+
     n = b.strands
     admit_strands(n)  # before is_pure() builds a permutation of n entries
     if not b.is_pure():

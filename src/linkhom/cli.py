@@ -18,6 +18,11 @@ parsing; build refuses more than ``claspers.MAX_BUILD_LETTERS`` letters).
 
 closure-eq witness multipliers can exceed 4300 decimal digits; a Python
 consumer of its JSON output needs ``sys.set_int_max_str_digits(0)``.
+
+Only the matrix layer (``linkhom.gamma``) imports numpy, when a command
+first needs it: gamma, braid-eq, clasp, pc, and closure-eq on 3 strands.
+basis, magnus, nf, act, build, tables and closure-eq on 4 or 5 strands
+run without loading numpy.
 """
 
 from __future__ import annotations
@@ -30,9 +35,10 @@ import sys
 from .braids import BraidError, BraidWord, infer_strands, parse_braid_word, unparse_braid_word
 from .claspers import ClaspVector, clasp_vector_to_braid, extract_clasp_vector
 from .closure import PartialConjugation, closure_equivalent, move_tables, partial_conjugate
-from .gamma import LimitError, admit_strands, braid_equal_lh, gamma_matrix
 from .reduced_free import (
+    LimitError,
     RankError,
+    admit_strands,
     artin_act,
     enumerate_basic_commutators,
     magnus_expand,
@@ -189,6 +195,8 @@ def _run(args) -> int:
         return EX_OK
 
     if args.command == "gamma":
+        from .gamma import gamma_matrix
+
         (braid,) = _braids(args, args.braid)
         matrix = gamma_matrix(braid, enumerate_basic_commutators(braid.strands, args.order))
         payload = matrix.to_json()
@@ -197,6 +205,8 @@ def _run(args) -> int:
         return EX_OK
 
     if args.command == "braid-eq":
+        from .gamma import braid_equal_lh
+
         equal = braid_equal_lh(*_braids(args, args.braid1, args.braid2))
         _emit(args, {"equal": equal}, ["true" if equal else "false"])
         return EX_OK if equal else EX_FALSE

@@ -53,7 +53,6 @@ from .claspers import (
     enumerate_comb_claspers,
     read_clasp_numbers,
 )
-from .gamma import probe_block
 from .intlattice import IntegerLattice, gcd_all
 
 EQUIVALENT = "equivalent"
@@ -241,6 +240,8 @@ def partial_conjugate(v: ClaspVector, pc: PartialConjugation) -> ClaspVector:
     probe block through the cached comb kernels and the result is read
     out; no braid word is built and no table is involved.
     """
+    from .gamma import probe_block  # imported here: decisions on tables need no numpy
+
     n = v.n
     i, j = pc.strand, pc.conjugator
     if max(i, j) > n:

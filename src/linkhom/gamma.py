@@ -371,11 +371,13 @@ def _certified_inverse(plus: GeneratorKernel, basis: CommutatorBasis) -> np.ndar
 
 
 @lru_cache(maxsize=None)
-def generator_matrix(n: int, i: int, sign: int, order: str = "weight-lex") -> GeneratorKernel:
+def generator_matrix(n: int, i: int, sign: int, order: str, /) -> GeneratorKernel:
     """Kernel of sigma_i^{sign} on n strands (cached).
 
     sigma_i comes from the closed form; sigma_i^-1 is derived from its
-    kernel exactly and certified (:func:`_certified_inverse`).
+    kernel exactly and certified (:func:`_certified_inverse`).  Every
+    argument is positional and required, so each kernel has one cache key
+    and is built once.
     """
     if not 1 <= i <= n - 1:
         raise BraidError(f"generator index {i} out of range for {n} strands")

@@ -21,10 +21,9 @@ from linkhom.claspers import (
     comb_power_product,
     enumerate_comb_claspers,
     extract_clasp_vector,
-    probe_block,
     read_clasp_numbers,
 )
-from linkhom.gamma import LimitError, braid_equal_lh, gamma_apply, gamma_matrix
+from linkhom.gamma import LimitError, braid_equal_lh, gamma_apply, gamma_matrix, probe_block
 from linkhom.reduced_free import BasicCommutator, enumerate_basic_commutators
 from conftest import random_clasp_vector, random_pure_braid
 from word_oracle import word_extract_clasp_vector

@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -214,6 +217,78 @@ def test_non_integer_json_values_are_data_errors(capsys, tmp_path, text):
         assert code == 65
         assert out == ""
         assert "expected an integer" in err
+
+
+# Runs each command in one fresh interpreter and reports, after each, its
+# exit code, its JSON output and whether numpy has been imported.
+_BOUNDARY_SCRIPT = """
+import contextlib, io, json, sys
+import linkhom
+loaded = ["numpy" in sys.modules]
+import linkhom.cli
+loaded.append("numpy" in sys.modules)
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = linkhom.cli.main(argv + ["--format", "json"])
+    results.append((code, json.loads(out.getvalue()), "numpy" in sys.modules))
+print(json.dumps({"loaded": loaded, "results": results}))
+"""
+
+
+def test_numpy_is_imported_only_by_the_matrix_layer(tmp_path):
+    def vector(name, n, nu):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": n, "nu": nu}))
+        return str(path)
+
+    n4a = vector("n4a", 4, {"1.2.3": 2, "1.2.4": 1, "1.3.4": -1, "1.2.3.4": 5})
+    n4b = vector("n4b", 4, {"1.2.3": 2, "1.2.4": 1, "1.3.4": -1, "1.2.3.4": 6})
+    n5 = {"1.2.3": 1, "2.4.5": -2, "1.2.3.4": 3, "1.3.2.5": 1, "1.2.3.4.5": 2}
+    n5a = vector("n5a", 5, n5)
+    # n5a moved by the partial conjugation (3, 5, +1), from `pc` below
+    n5b = vector("n5b", 5, {**n5, "1.2.3.5": 1, "1.2.4.3.5": -3})
+    numpy_free = [
+        ["basis", "-n", "4"],
+        ["magnus", "x1 x2 x1^-1"],
+        ["nf", "-n", "4", "x1 x2 x3 x1^-1"],
+        ["act", "s1 s2^-1", "x1 x3"],
+        ["build", n4a],
+        ["tables"],
+        ["closure-eq", n4a, n4b],
+        ["closure-eq", n5a, n5b],
+    ]
+    matrix = [
+        (["gamma", "-n", "3", "s1 s2^-1"], 0, {
+            "basis_order": ["1", "2", "3", "1.2", "1.3", "2.3", "1.2.3", "1.3.2"],
+            "rows": [[0, 0, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0],
+                     [0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, -1, 0, 0, 0],
+                     [0, 1, 0, 0, 0, -1, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0],
+                     [0, 1, 0, 0, 0, -1, -1, -1], [0, 0, 0, -1, 0, 0, 1, 0]]}),
+        (["braid-eq", "-n", "4", "s1 s2 s1", "s2 s1 s2"], 0, {"equal": True}),
+        (["braid-eq", "-n", "4", "s1 s2 s1 a1,4", "s2 s1 s2 a2,4"], 1, {"equal": False}),
+        (["clasp", "-n", "4", "a1,3 a2,4^-1 a1,2 a1,3^-1 a1,2^-1"], 0, {
+            "n": 4, "order": "degree-lex", "nu": {"1.2.3": -1, "1.3.2.4": 1, "2.4": -1}}),
+        (["pc", n5a, "-i", "3", "-j", "5"], 0, {
+            "n": 5, "order": "degree-lex", "nu": {**n5, "1.2.3.5": 1, "1.2.4.3.5": -3}}),
+    ]
+    argv = numpy_free + [args for args, _, _ in matrix]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _BOUNDARY_SCRIPT, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["loaded"] == [False, False]  # import linkhom, import linkhom.cli
+    free, rest = report["results"][:len(numpy_free)], report["results"][len(numpy_free):]
+    for args, (code, _, loaded) in zip(numpy_free, free):
+        assert code == 0, args
+        assert not loaded, f"{args[0]} imported numpy"
+    assert [out["status"] for _, out, _ in free[-2:]] == ["equivalent", "equivalent"]
+    for (args, code, expected), (got_code, got, _) in zip(matrix, rest):
+        assert (got_code, got) == (code, expected), args
+    assert rest[0][2]  # gamma is where numpy comes in
 
 
 def test_tables_dump(capsys):

@@ -450,6 +450,42 @@ def test_decision_is_total_and_symmetric(pair):
     certify(w, v, EQUIVALENT)
 
 
+@st.composite
+def closure_triples(draw):
+    """(v, w, u) at n = 4 or 5-split: w is v moved by replayed table moves,
+    u is w with one mid- or top-degree clasp number shifted, so u may or
+    may not be equivalent to v."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = rng.choice((4, 5))
+    names = (("n4-generating", "n4-partial-conjugations", "n4-closure-moves") if n == 4
+             else ("n5-split-generating", "n5-split-closure-moves"))
+    v = random_clasp_vector(rng, n, bound=rng.choice((1, 5, 100)),
+                            min_degree=1 if n == 4 else 2)
+    rows = [(name, row.row) for name in names for row in TABLES[name]]
+    moves = [Move(name, row, rng.choice((-2, -1, 1, 2)))
+             for name, row in rng.choices(rows, k=rng.randint(1, 4))]
+    w = replay_witness(v, moves)
+    seq = rng.choice([c.sequence for c in enumerate_comb_claspers(n)
+                      if c.degree >= n - 2])
+    u = w.updated({seq: w.get(seq) + rng.choice((-1, 1))})
+    return v, w, u
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(closure_triples())
+def test_verdicts_are_symmetric_transitive_and_certified(triple):
+    v, w, u = triple
+    forward, backward = closure_equivalent(v, u), closure_equivalent(u, v)
+    assert forward.status == backward.status != UNKNOWN
+    for a, b, verdict in ((v, u, forward), (u, v, backward)):
+        if verdict.status == EQUIVALENT:
+            assert replay_witness(a, verdict.witness) == b
+        else:
+            assert verdict.invariant
+    # v and w are equivalent, so u is equivalent to both or to neither
+    assert closure_equivalent(w, u).status == forward.status
+
+
 def test_verdict_symmetry(rng):
     for _ in range(15):
         v = random_clasp_vector(rng, 4, bound=1)

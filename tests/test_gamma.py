@@ -82,6 +82,22 @@ def test_inverse_generator_is_matrix_inverse():
             assert np.array_equal(minus @ plus, np.eye(len(plus), dtype=np.int64))
 
 
+def test_generator_kernel_has_one_cache_key():
+    # every argument is positional and required: the call forms that would
+    # give the same kernel a second cache entry are refused, building nothing
+    gm = gamma.generator_matrix
+    kernel = gm(4, 2, -1, "weight-revlex")
+    before = gm.cache_info()
+    assert gm(4, 2, -1, "weight-revlex") is kernel
+    with pytest.raises(TypeError):
+        gm(4, 2, -1)
+    with pytest.raises(TypeError):
+        gm(4, 2, -1, order="weight-revlex")
+    after = gm.cache_info()
+    assert after.currsize == before.currsize
+    assert after.hits == before.hits + 1
+
+
 def test_derived_inverse_at_seven_strands():
     # the letters are applied one by one, not cancelled: the applied
     # kernels of sigma_1 and its derived inverse multiply to I both ways
