@@ -20,9 +20,8 @@ closure-eq witness multipliers can exceed 4300 decimal digits; a Python
 consumer of its JSON output needs ``sys.set_int_max_str_digits(0)``.
 
 Only the matrix layer (``linkhom.gamma``) imports numpy, when a command
-first needs it: gamma, braid-eq, clasp, pc, and closure-eq on 3 strands.
-basis, magnus, nf, act, build, tables and closure-eq on 4 or 5 strands
-run without loading numpy.
+first needs it: gamma, braid-eq, clasp and pc.  basis, magnus, nf, act,
+build, tables and closure-eq run without loading numpy.
 """
 
 from __future__ import annotations

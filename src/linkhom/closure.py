@@ -9,12 +9,13 @@ the faithful representation: it applies the comb powers of the moved
 braid to them through cached comb kernels and reads the clasp numbers
 off the result, with no table input and no braid word.
 
-For 4 strands, and for 5 strands when all pairwise degree-1 numbers
-vanish, the effect of every generating partial conjugation on clasp
-numbers is a fixed increment table, embedded in ``move_tables.json``
-alongside the closure-preserving conjugation moves used to normalise the
-top degree.  :func:`closure_equivalent` decides orbit membership in
-layers:
+For 3 and 4 strands, and for 5 strands when all pairwise degree-1
+numbers vanish, the effect of every generating partial conjugation on
+clasp numbers is a fixed increment table, embedded in
+``move_tables.json`` alongside the closure-preserving conjugation moves
+used to normalise the top degree.  The six 3-strand rows are the values
+of :func:`partial_conjugate` on unit vectors; the tests derive them
+again.  :func:`closure_equivalent` decides orbit membership in layers:
 
 * degree-1 values never move: unequal means distinct;
 * 3 strands run the same layers below, with degree 1 as the mid degree,
@@ -259,43 +260,11 @@ def partial_conjugate(v: ClaspVector, pc: PartialConjugation) -> ClaspVector:
     return read_clasp_numbers(n, comb_power_product(moved, n, probe_block(n)))
 
 
-@lru_cache(maxsize=None)
-def _n3_rows() -> tuple[MoveRow, ...]:
-    """Increment rows of the six n=3 partial conjugations, derived by
-    applying :func:`partial_conjugate` (on probe columns) to unit vectors."""
-    deg1 = ((1, 2), (1, 3), (2, 3))
-    rows: list[MoveRow] = []
-    pcs = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
-    for number, (i, j) in enumerate(pcs, start=1):
-        pairs = []
-        for source in deg1:
-            probe = ClaspVector(3, {source: 1})
-            out = partial_conjugate(probe, PartialConjugation(i, j, 1))
-            coeff = out.get((1, 2, 3))
-            if out.degree_part(1) != probe.degree_part(1) or coeff not in (-1, 0, 1):
-                raise CertificationError(f"derived n=3 row ({i},{j}) is not a unit increment")
-            if coeff:
-                pairs.append((source, coeff))
-        rows.append(
-            MoveRow(
-                table="n3-partial-conjugations",
-                n=3,
-                row=number,
-                pc=(i, j, 1),
-                increments=(((1, 2, 3), tuple(pairs)),),
-            )
-        )
-    return tuple(rows)
-
-
 def get_row(table: str, row: int, n: int | None = None) -> MoveRow:
-    if table == "n3-partial-conjugations":
-        rows: tuple[MoveRow, ...] = _n3_rows()
-    else:
-        try:
-            rows = _embedded_tables()[table]
-        except KeyError as exc:
-            raise BraidError(f"unknown move table {table!r}") from exc
+    try:
+        rows = _embedded_tables()[table]
+    except KeyError as exc:
+        raise BraidError(f"unknown move table {table!r}") from exc
     if not 1 <= row <= len(rows):
         raise BraidError(f"table {table} has no row {row}")
     found = rows[row - 1]
@@ -526,7 +495,7 @@ def closure_equivalent(
             )
     tables = _embedded_tables()
     if n == 3:
-        rows, moves = _n3_rows(), ()
+        rows, moves = tables["n3-partial-conjugations"], ()
     elif n == 4:
         rows, moves = tables["n4-generating"], tables["n4-closure-moves"]
     else:

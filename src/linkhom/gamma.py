@@ -16,8 +16,11 @@ they can check each other:
   signed sum over reversed subsequences when i leads and i+1 follows.
   This is the production route: :func:`generator_matrix` builds sigma_i
   from it, derives sigma_i^-1 exactly as ``sigma_i (sigma_i^2)^-1``, and
-  caches both as sparse gather-scatter kernels that :func:`gamma_apply`
-  applies letter by letter;
+  caches both as sparse gather-scatter kernels.  :func:`gamma_apply`
+  freely reduces the word, then applies it from its last letter: a
+  vector or narrow block on at most five strands two letters at a time,
+  through the cached kernel of each pair's product, anything else letter
+  by letter;
 * the definitional route (:func:`gamma_matrix_definitional`): act on each
   basis commutator word, then take the normal form; it is the oracle the
   tests compare the closed form against.
@@ -48,12 +51,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Iterable
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .braids import BraidWord, BraidError, CertificationError, permutation_of
+from .braids import BraidWord, BraidError, CertificationError, Letter, free_reduce, permutation_of
 from .reduced_free import (  # the size limit is re-exported from here
     MAX_BASIS_SIZE,
     MAX_STRANDS,
@@ -74,6 +77,17 @@ _INT64_SAFE = 2**62
 # at 4 columns, 14 against 47 us at 8; at n = 6 the layers win from about
 # 16 columns on.
 _NARROW = 8
+# On at most this many strands a vector or narrow block takes the letters
+# two at a time, through the cached kernel of their product
+# (:func:`_letter_pair`).  A narrow step there costs mostly numpy's
+# per-call overhead, and a pair has only about 1.3 times a letter's
+# entries: on the probe block at n = 5, a pair costs 10 us where its two
+# letters cost 17 us (2-vCPU VM).  A wide step pays per entry, so there a
+# pair costs what its two letters do.  At n = 6 a pair saves 30% (40
+# against 2 x 29 us), but the 90 pairs take 0.6 s to build and about
+# 10 MB; at n = 7 a pair takes 0.4 s and 0.55 MB, about 60 s and 70 MB for
+# all 132.
+_PAIR_STRANDS = 5
 
 
 def _max_abs(a: np.ndarray) -> int:
@@ -106,14 +120,18 @@ def _headroom(x: np.ndarray, bound: int | None, factor: int) -> tuple[np.ndarray
     return x, bound
 
 
+def _narrow(x: np.ndarray) -> bool:
+    return x.ndim == 1 or x.shape[1] <= _NARROW
+
+
 def _stack(x: np.ndarray) -> tuple[np.ndarray, int | None]:
     """A vector or narrow block as one vector, its columns end to end, and
     its width; a wide block stays as it is, with width None."""
+    if not _narrow(x):
+        return x, None
     if x.ndim == 1:
         return x, 1
-    if x.shape[1] <= _NARROW:
-        return x.T.ravel(), x.shape[1]
-    return x, None
+    return x.T.ravel(), x.shape[1]
 
 
 def _unstack(x: np.ndarray, shape: tuple[int, ...], width: int | None) -> np.ndarray:
@@ -145,12 +163,13 @@ class _Runs:
             a.flags.writeable = False
         return cls(size, kept, starts, cols, coeffs)
 
-    def _tile(self, width: int) -> tuple[np.ndarray, ...]:
+    def _tile(self, width: int) -> tuple[np.ndarray | None, ...]:
         tile = self.tiles.get(width)
         if tile is None:
             shift = np.arange(width)[:, None]
+            full = len(self.rows) == self.size  # no row to scatter into zeros
             tile = (
-                (self.rows + self.size * shift).ravel(),
+                None if full else (self.rows + self.size * shift).ravel(),
                 (self.starts + len(self.cols) * shift).ravel(),
                 (self.cols + self.size * shift).ravel(),
                 np.tile(self.coeffs, width),
@@ -162,7 +181,7 @@ class _Runs:
         """``M @ x`` for ``x`` holding ``width`` stacked columns."""
         rows, starts, cols, coeffs = self._tile(width)
         sums = np.add.reduceat(coeffs * x[cols], starts) if len(cols) else x[:0]
-        if len(rows) == len(x):
+        if rows is None:
             return sums
         out = np.zeros(x.shape, x.dtype)
         out[rows] = sums
@@ -185,7 +204,6 @@ class GeneratorKernel:
     """
 
     runs: _Runs
-    layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     row_sum: int
 
     @classmethod
@@ -195,16 +213,23 @@ class GeneratorKernel:
         if not np.count_nonzero(g, axis=1).all():
             raise CertificationError("generator matrix has a zero row")
         rows, cols = np.nonzero(g)
-        coeffs = g[rows, cols]
-        runs = _Runs.of_entries(len(g), rows, cols, coeffs)
-        rank = np.arange(len(rows)) - runs.starts[rows]
+        runs = _Runs.of_entries(len(g), rows, cols, g[rows, cols])
+        return cls(runs, int(np.abs(g).sum(axis=1).max()))
+
+    @cached_property
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Built at the first wide block; vectors and narrow blocks never read them."""
+        runs = self.runs
+        lengths = np.diff(runs.starts, append=len(runs.cols))
+        rows = np.repeat(runs.rows, lengths)
+        rank = np.arange(len(rows)) - np.repeat(runs.starts, lengths)
         layers = tuple(
-            (rows[rank == k], cols[rank == k], coeffs[rank == k, None])
-            for k in range(int(rank.max()) + 1)
+            (rows[rank == k], runs.cols[rank == k], runs.coeffs[rank == k, None])
+            for k in range(int(lengths.max()))
         )
         for a in itertools.chain(*layers):
             a.flags.writeable = False
-        return cls(runs, layers, int(np.abs(g).sum(axis=1).max()))
+        return layers
 
     def apply(self, x: np.ndarray, width: int = 1) -> np.ndarray:
         """``G @ x`` for a wide block, or for ``width`` columns stacked in a vector."""
@@ -232,11 +257,13 @@ class UnipotentKernel:
     A braid in the d-th lower central series term of the pure braid group
     sends each generator of RF_n to itself times commutators of weight at
     least d + 1, so ``N`` sends weight w to weights w + d and up; a comb
-    braid of degree d is such a braid.  ``N^(depth + 1) = 0`` with
-    ``depth = (n - 1) // reach``, and only the columns of weight at most
-    ``n - reach`` can be nonzero, so only those are computed (and checked
-    to raise weight).  ``N`` is kept only as runs of its nonzero rows;
-    ``row_sum`` is its largest absolute row sum.
+    braid of degree d is such a braid.  Only the columns of weight at most
+    ``n - reach`` can be nonzero, so only those are computed, and each of
+    their entries is checked to raise weight by ``reach``.  Weights run
+    from 1 to n and ``(depth + 1) * reach >= n`` for ``depth = (n - 1) //
+    reach``, so that check certifies ``N^(depth + 1) = 0`` once for every
+    power.  ``N`` is kept only as runs of its nonzero rows; ``row_sum`` is
+    its largest absolute row sum.
     """
 
     depth: int
@@ -267,9 +294,10 @@ class UnipotentKernel:
 
         ``x`` holds ``width`` stacked columns and ``bound`` bounds
         ``max|x|``; the returned bound covers the result (see
-        :func:`_headroom`).  The sum stops at the first vanishing term; a
-        term past ``depth`` that does not vanish is a defect.  For e > 0 the
-        binomials vanish past e, so the sum stops there.
+        :func:`_headroom`).  The sum stops at the first vanishing term, and
+        at ``depth``, past which the powers of ``N`` vanish (certified by
+        :meth:`of_images`).  For e > 0 the binomials vanish past e, so the
+        sum stops there.
         """
         if e == 0:
             return x, bound
@@ -283,10 +311,8 @@ class UnipotentKernel:
         for c in binomials:
             term = self.runs.apply(term, width)
             if not term.any():
-                return out, bound
+                break
             out = out + c * term
-        if last == self.depth and self.runs.apply(term, width).any():
-            raise CertificationError(f"N^{self.depth + 1} does not vanish")
         return out, bound
 
 
@@ -407,9 +433,45 @@ def _apply_kernels(kernels: Iterable[GeneratorKernel], x: np.ndarray) -> np.ndar
     return _unstack(x, shape, width)
 
 
+@lru_cache(maxsize=None)
+def _letter_pair(n: int, first: Letter, second: Letter, order: str, /) -> GeneratorKernel:
+    """Kernel of ``G_first @ G_second``, the product of two letters' kernels (cached).
+
+    Its ``row_sum`` is the product's own, so :func:`_headroom` bounds a
+    pair's step exactly as it bounds a generator's.
+    """
+    first_kernel = generator_matrix(n, *first, order)
+    identity = np.eye(first_kernel.runs.size, dtype=np.int64)
+    product = _apply_kernels((generator_matrix(n, *second, order), first_kernel), identity)
+    return GeneratorKernel.from_dense(product)
+
+
+def _letter_pairs(n: int, letters: tuple[Letter, ...], order: str) -> Iterator[GeneratorKernel]:
+    """Kernels of ``letters``, listed last first, two at a time; an odd
+    last one (the word's first letter) goes alone."""
+    for k in range(1, len(letters), 2):
+        first, second = letters[k], letters[k - 1]
+        if abs(first[0] - second[0]) >= 2 and second < first:
+            first, second = second, first  # far generators commute: one key for both orders
+        yield _letter_pair(n, first, second, order)
+    if len(letters) % 2:
+        yield generator_matrix(n, *letters[-1], order)
+
+
 def _apply_word(b: BraidWord, x: np.ndarray, order: str) -> np.ndarray:
-    """``gamma(b) @ x``, one generator kernel per letter from the last (exact)."""
-    kernels = (generator_matrix(b.strands, i, sign, order) for i, sign in reversed(b.letters))
+    """``gamma(b) @ x`` from the last letter of the freely reduced word (exact).
+
+    sigma_i sigma_i^-1 = 1, so free reduction leaves gamma(b) as it is.  On
+    at most ``_PAIR_STRANDS`` strands a vector or narrow block takes the
+    letters two at a time (:func:`_letter_pairs`); anything else takes one
+    generator kernel per letter.
+    """
+    n = b.strands
+    letters = free_reduce(reversed(b.letters))
+    if n <= _PAIR_STRANDS and _narrow(x):
+        kernels: Iterable[GeneratorKernel] = _letter_pairs(n, letters, order)
+    else:
+        kernels = (generator_matrix(n, i, sign, order) for i, sign in letters)
     return _apply_kernels(kernels, x)
 
 

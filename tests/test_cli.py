@@ -243,6 +243,8 @@ def test_numpy_is_imported_only_by_the_matrix_layer(tmp_path):
         path.write_text(json.dumps({"n": n, "nu": nu}))
         return str(path)
 
+    n3a = vector("n3a", 3, {"1.3": 1, "1.2.3": 5})
+    n3b = vector("n3b", 3, {"1.3": 1})
     n4a = vector("n4a", 4, {"1.2.3": 2, "1.2.4": 1, "1.3.4": -1, "1.2.3.4": 5})
     n4b = vector("n4b", 4, {"1.2.3": 2, "1.2.4": 1, "1.3.4": -1, "1.2.3.4": 6})
     n5 = {"1.2.3": 1, "2.4.5": -2, "1.2.3.4": 3, "1.3.2.5": 1, "1.2.3.4.5": 2}
@@ -256,6 +258,7 @@ def test_numpy_is_imported_only_by_the_matrix_layer(tmp_path):
         ["act", "s1 s2^-1", "x1 x3"],
         ["build", n4a],
         ["tables"],
+        ["closure-eq", n3a, n3b],
         ["closure-eq", n4a, n4b],
         ["closure-eq", n5a, n5b],
     ]
@@ -285,7 +288,7 @@ def test_numpy_is_imported_only_by_the_matrix_layer(tmp_path):
     for args, (code, _, loaded) in zip(numpy_free, free):
         assert code == 0, args
         assert not loaded, f"{args[0]} imported numpy"
-    assert [out["status"] for _, out, _ in free[-2:]] == ["equivalent", "equivalent"]
+    assert [out["status"] for _, out, _ in free[-3:]] == ["equivalent"] * 3
     for (args, code, expected), (got_code, got, _) in zip(matrix, rest):
         assert (got_code, got) == (code, expected), args
     assert rest[0][2]  # gamma is where numpy comes in
@@ -296,6 +299,7 @@ def test_tables_dump(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["n4-partial-conjugations"]) == 12
+    assert len(data["n3-partial-conjugations"]) == 6
     code, out, _ = run(capsys, "tables", "--table", "n4-closure-moves")
     assert code == 0
     assert "[n4-closure-moves]" in out

@@ -41,6 +41,7 @@ TABLES = move_tables()
 
 def test_tables_present():
     assert set(TABLES) == {
+        "n3-partial-conjugations",
         "n4-closure-moves",
         "n4-partial-conjugations",
         "n4-generating",
@@ -48,9 +49,9 @@ def test_tables_present():
         "n5-split-closure-moves",
     }
     assert [len(TABLES[t]) for t in (
-        "n4-closure-moves", "n4-partial-conjugations", "n4-generating",
-        "n5-split-generating", "n5-split-closure-moves",
-    )] == [6, 12, 8, 15, 20]
+        "n3-partial-conjugations", "n4-closure-moves", "n4-partial-conjugations",
+        "n4-generating", "n5-split-generating", "n5-split-closure-moves",
+    )] == [6, 6, 12, 8, 15, 20]
 
 
 def test_apply_move_examples():
@@ -131,6 +132,25 @@ def test_pc_degree_one_invariant(rng):
             j = rng.choice([k for k in range(1, n + 1) if k != i])
             out = partial_conjugate(v, PartialConjugation(i, j, rng.choice((1, -1))))
             assert out.degree_part(1) == v.degree_part(1)
+
+
+def test_n3_stored_rows_are_the_derived_partial_conjugations():
+    # each stored row is partial_conjugate on the unit vectors of degree 1:
+    # degree 1 stays, and the triple number moves by a unit multiple
+    deg1 = ((1, 2), (1, 3), (2, 3))
+    for row in TABLES["n3-partial-conjugations"]:
+        pc = PartialConjugation(*row.pc)
+        pairs = []
+        for source in deg1:
+            probe = ClaspVector(3, {source: 1})
+            out = partial_conjugate(probe, pc)
+            assert out.degree_part(1) == probe.degree_part(1)
+            assert out.get((1, 2, 3)) in (-1, 0, 1)
+            if out.get((1, 2, 3)):
+                pairs.append((source, out.get((1, 2, 3))))
+        assert row.increments == (((1, 2, 3), tuple(pairs)),)
+    assert [row.pc for row in TABLES["n3-partial-conjugations"]] == [
+        (1, 2, 1), (1, 3, 1), (2, 1, 1), (2, 3, 1), (3, 1, 1), (3, 2, 1)]
 
 
 def test_n3_derived_rows_match_known_signs():

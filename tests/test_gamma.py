@@ -1,8 +1,9 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linkhom import gamma
@@ -11,11 +12,13 @@ from linkhom.braids import (
     BraidWord,
     CertificationError,
     compose,
+    free_reduce,
     parse_braid_word,
     pure_generator_word,
 )
 from linkhom.gamma import (
     GeneratorKernel,
+    _apply_kernels,
     _certified_inverse,
     _max_abs,
     braid_equal_lh,
@@ -99,10 +102,32 @@ def test_generator_kernel_has_one_cache_key():
 
 
 def test_derived_inverse_at_seven_strands():
-    # the letters are applied one by one, not cancelled: the applied
-    # kernels of sigma_1 and its derived inverse multiply to I both ways
-    for letters in (((1, 1), (1, -1)), ((1, -1), (1, 1))):
-        assert gamma_matrix(BraidWord(7, letters)).is_identity()
+    # words are freely reduced before any kernel is applied, so the kernels
+    # of sigma_1 and its derived inverse are multiplied here directly: I
+    # both ways
+    order = enumerate_basic_commutators(7).order
+    plus, minus = (gamma.generator_matrix(7, 1, sign, order) for sign in (1, -1))
+    identity = np.eye(plus.runs.size, dtype=np.int64)
+    for kernels in ((plus, minus), (minus, plus)):
+        assert np.array_equal(_apply_kernels(kernels, identity), identity)
+
+
+def test_derived_inverse_cancels_its_generator_on_random_blocks(rng):
+    # gamma_apply cancels sigma_i sigma_i^-1 before applying anything, so
+    # the two kernels are applied in turn here.  Widths 1 and 5 go through
+    # stacked columns, 12 through layers.
+    for n in (3, 4, 5, 6):
+        order = enumerate_basic_commutators(n).order
+        for i in range(1, n):
+            plus, minus = (gamma.generator_matrix(n, i, sign, order) for sign in (1, -1))
+            m = plus.runs.size
+            blocks = [np.array([rng.randint(-99, 99) for _ in range(m)], dtype=np.int64)]
+            for width in (1, 5, 12):
+                entries = [rng.randint(-99, 99) for _ in range(m * width)]
+                blocks.append(np.array(entries, dtype=np.int64).reshape(m, width))
+            for x in blocks:
+                assert np.array_equal(_apply_kernels((plus, minus), x), x)
+                assert np.array_equal(_apply_kernels((minus, plus), x), x)
 
 
 def test_inverse_certification_rejects_corrupted_generators():
@@ -472,8 +497,10 @@ def six_strand_words(max_letters):
 @settings(max_examples=25, deadline=None)
 @given(six_strand_words(12), six_strand_words(12))
 def test_gamma_is_a_homomorphism_at_six_strands(a, b):
-    # words are concatenated without free reduction, so sigma_i next to
-    # sigma_i^-1 meets the derived inverse kernel as it is
+    # words are concatenated without free reduction; gamma_matrix cancels
+    # sigma_i sigma_i^-1 at the seam itself, so the kernels of such a pair
+    # are checked against each other in
+    # test_derived_inverse_cancels_its_generator_on_random_blocks
     product = gamma_matrix(BraidWord(6, a.letters + b.letters)).matrix
     assert np.array_equal(product, _safe_matmul(gamma_matrix(a).matrix, gamma_matrix(b).matrix))
 
@@ -490,6 +517,73 @@ def test_blocks_of_every_width_match_the_matrix(word, width, data):
     assert np.array_equal(gamma_apply(word, block, basis), expect)
 
 
+@st.composite
+def words_with_cancelling_runs(draw):
+    """A word on 2..5 strands made of single letters and runs
+    sigma_i^e sigma_i^-e .. of one to three such pairs."""
+    n = draw(st.integers(2, 5))
+    letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+    run = st.tuples(letter, st.integers(1, 3)).map(lambda r: [r[0], (r[0][0], -r[0][1])] * r[1])
+    pieces = draw(st.lists(st.one_of(letter.map(lambda l: [l]), run), max_size=16))
+    return BraidWord(n, tuple(l for piece in pieces for l in piece))
+
+
+@settings(max_examples=80, deadline=None)
+@given(words_with_cancelling_runs(), st.sampled_from(ORDER_TAGS), st.integers(0, 8),
+       st.integers(0, 2**32))
+@example(BraidWord(2, ()), "weight-lex", 1, 0)
+@example(BraidWord(4, ((2, 1), (2, -1), (1, 1))), "weight-revlex", 3, 0)
+@example(BraidWord(5, ((4, -1), (1, 1), (1, -1), (2, 1))), "weight-lex", 0, 0)
+def test_letter_pairs_match_the_dense_chain(word, order, width, seed):
+    # narrow blocks on at most five strands go two letters at a time through
+    # the pair kernels; width 0 stands for a vector.  With a threshold of 16
+    # every step escalates to Python integers, with the same values.
+    basis = enumerate_basic_commutators(word.strands, order)
+    draw = random.Random(seed)
+    x = np.array([draw.randint(-50, 50) for _ in range(len(basis) * max(width, 1))])
+    x = x.reshape(len(basis), width) if width else x
+    x.flat[0] = 50
+    expect = (dense_chain(word, basis).astype(object) @ x.astype(object)).tolist()
+    got = gamma_apply(word, x, basis)
+    assert got.dtype == np.int64 and got.tolist() == expect
+    with mock.patch.object(gamma, "_INT64_SAFE", 16):
+        escalated = gamma_apply(word, x, basis)
+    assert escalated.tolist() == expect
+    assert escalated.dtype == (object if free_reduce(word.letters) else np.int64)
+
+
+def test_letter_pair_cache_stays_bounded(monkeypatch, rng):
+    # free reduction leaves no sigma_i sigma_i^-1 pair, so at most
+    # (2(n-1))^2 - 2(n-1) pairs exist per n; 6 strands and wide blocks
+    # take none
+    pair = gamma._letter_pair
+    pair.cache_clear()
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return pair(*args)
+
+    monkeypatch.setattr(gamma, "_letter_pair", spy)
+    for n in (4, 5):
+        basis = enumerate_basic_commutators(n)
+        for _ in range(60):
+            word = random_braid(rng, n, rng.randint(0, 40))
+            word = BraidWord(n, word.letters + word.letters[::-1])  # a cancelling seam
+            gamma_apply(word, probe_block(n), basis)
+        keys = {args for args in calls if args[0] == n}
+        assert keys
+        assert all(first != (second[0], -second[1]) for _, first, second, _ in keys)
+        assert len(keys) <= (2 * (n - 1)) ** 2 - 2 * (n - 1)
+    held, called = pair.cache_info().currsize, len(calls)
+    assert held == len(set(calls))
+    gamma_apply(random_braid(rng, 6, 30), probe_block(6), enumerate_basic_commutators(6))
+    word = random_braid(rng, 4, 30)
+    gamma_matrix(word)
+    gamma_apply(word, np.ones((24, 9), dtype=np.int64), enumerate_basic_commutators(4))
+    assert pair.cache_info().currsize == held and len(calls) == called
+
+
 def test_admission_limit():
     from linkhom.gamma import LimitError, MAX_BASIS_SIZE, admit_strands
 
@@ -504,20 +598,27 @@ def test_admission_limit():
 
 def test_escalation_partway_matches_int64(monkeypatch):
     # with a low threshold both routes start in int64 and switch to Python
-    # integers partway through the word; the values must not change
+    # integers partway through the word; the values must not change.  The
+    # vector and the 3-column block on 5 strands go through letter pairs.
     threshold = 2**8
     basis = enumerate_basic_commutators(4)
     word = parse_braid_word("a1,2 a2,3 a3,4", 4) ** 20
     vec = np.arange(len(basis), dtype=np.int64) % 3 - 1
+    basis5 = enumerate_basic_commutators(5)
+    word5 = parse_braid_word("a1,2 a2,3 a3,4 a4,5", 5) ** 20
+    block5 = (np.arange(len(basis5))[:, None] + np.arange(3)) % 3 - 1
     matrix, image = gamma_matrix(word).matrix, gamma_apply(word, vec, basis)
-    assert matrix.dtype == image.dtype == np.int64
-    assert _max_abs(matrix) >= threshold and _max_abs(image) >= threshold
+    image5 = gamma_apply(word5, block5, basis5)
+    assert matrix.dtype == image.dtype == image5.dtype == np.int64
+    assert min(_max_abs(matrix), _max_abs(image), _max_abs(image5)) >= threshold
     monkeypatch.setattr(gamma, "_INT64_SAFE", threshold)
     escalated_matrix = gamma_matrix(word).matrix
     escalated_image = gamma_apply(word, vec, basis)
-    assert escalated_matrix.dtype == escalated_image.dtype == object
+    escalated_image5 = gamma_apply(word5, block5, basis5)
+    assert escalated_matrix.dtype == escalated_image.dtype == escalated_image5.dtype == object
     assert escalated_matrix.tolist() == matrix.tolist()
     assert escalated_image.tolist() == image.tolist()
+    assert escalated_image5.tolist() == image5.tolist()
 
 
 def test_exact_escalation_matmul():

@@ -58,4 +58,4 @@ def test_cli_runs_as_a_module_without_warnings():
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "linkhom.cli", "tables"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("[n4-closure-moves]")
+    assert proc.stdout.startswith("[n3-partial-conjugations]")

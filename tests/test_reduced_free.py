@@ -5,6 +5,7 @@ import pytest
 from linkhom.braids import BraidWord, compose
 from linkhom.reduced_free import (
     BasicCommutator,
+    ORDER_TAGS,
     MagnusSeries,
     RankError,
     ReducedWord,
@@ -196,16 +197,17 @@ def test_normal_form_rank_mismatch():
 
 
 def test_normal_form_round_trip(rng):
-    for rank in (2, 3, 4):
-        basis = enumerate_basic_commutators(rank)
-        for _ in range(15):
-            values = {
-                a.sequence: rng.randint(-3, 3)
-                for a in basis.elements
-                if rng.random() < 0.5
-            }
-            vec = exponent_vector_from_dict(basis, values)
-            assert rfg_normal_form(vec.to_word(), basis).values == vec.values
+    for order in ORDER_TAGS:
+        for rank in (2, 3, 4):
+            basis = enumerate_basic_commutators(rank, order)
+            for _ in range(15):
+                values = {
+                    a.sequence: rng.randint(-3, 3)
+                    for a in basis.elements
+                    if rng.random() < 0.5
+                }
+                vec = exponent_vector_from_dict(basis, values)
+                assert rfg_normal_form(vec.to_word(), basis).values == vec.values
 
 
 def test_rfg_equal():

@@ -11,7 +11,7 @@ from importlib import resources
 
 from linkhom.closure import get_row, move_tables
 
-EXPECTED_SHA256 = "f428cbf88910060581bb2c9bc53940414abd5a300db57d03794c229b3606e6fd"
+EXPECTED_SHA256 = "3df2e614b017fc6a8283fa9c399f4fdb00b3e68689278e090dc09706877c2782"
 
 
 def test_checksum():
@@ -34,6 +34,7 @@ def test_row_numbering_and_counts():
     tables = move_tables()
     for name, rows in tables.items():
         assert [r.row for r in rows] == list(range(1, len(rows) + 1))
+    assert all(r.pc is not None for r in tables["n3-partial-conjugations"])
     assert all(r.pc is not None for r in tables["n4-partial-conjugations"])
     assert all(r.pc is not None for r in tables["n4-generating"])
     assert all(r.pc is not None for r in tables["n5-split-generating"])
