@@ -19,8 +19,9 @@ they can check each other:
   caches both as sparse gather-scatter kernels.  :func:`gamma_apply`
   freely reduces the word, then applies it from its last letter: a
   vector or narrow block on at most five strands two letters at a time,
-  through the cached kernel of each pair's product, anything else letter
-  by letter;
+  by one float64 product with the cached dense matrix of each pair, while
+  a bound keeps every value below 2**53; anything else, and the rest of
+  a word once that bound fails, letter by letter through the kernels;
 * the definitional route (:func:`gamma_matrix_definitional`): act on each
   basis commutator word, then take the normal form; it is the oracle the
   tests compare the closed form against.
@@ -42,8 +43,10 @@ sparse and applies any power of ``I + N`` as a short binomial sum, so a
 power costs the same whatever its exponent.  ``sigma_i^2 = A_{i,i+1}`` is
 such a braid, so exponent -1 gives the inverse of its matrix.
 
-Arithmetic is int64 while a running bound proves it safe and Python
-integers beyond, so all results are exact regardless of word length.
+Arithmetic is float64 on the letter pairs and int64 elsewhere while a
+running bound proves it exact, and Python integers beyond, so all
+results are exact regardless of word length; they are int64 or Python
+integers, never floats.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -72,28 +75,29 @@ from .reduced_free import (  # the size limit is re-exported from here
 )
 
 _INT64_SAFE = 2**62
+# float64 holds every integer of absolute value up to this exactly (IEEE 754).
+_FLOAT_EXACT = 2**53
 # Blocks of at most this many columns are applied as stacked columns by
 # summing runs, wider ones by layers.  Per letter at n = 5: 8 against 31 us
 # at 4 columns, 14 against 47 us at 8; at n = 6 the layers win from about
 # 16 columns on.
 _NARROW = 8
 # On at most this many strands a vector or narrow block takes the letters
-# two at a time, through the cached kernel of their product
-# (:func:`_letter_pair`).  A narrow step there costs mostly numpy's
-# per-call overhead, and a pair has only about 1.3 times a letter's
-# entries: on the probe block at n = 5, a pair costs 10 us where its two
-# letters cost 17 us (2-vCPU VM).  A wide step pays per entry, so there a
-# pair costs what its two letters do.  At n = 6 a pair saves 30% (40
-# against 2 x 29 us), but the 90 pairs take 0.6 s to build and about
-# 10 MB; at n = 7 a pair takes 0.4 s and 0.55 MB, about 60 s and 70 MB for
-# all 132.
+# two at a time, by one float64 product with the cached dense matrix of
+# their product (:func:`_apply_pairs`).  A step there is a few
+# microseconds, so numpy's per-call overhead counts, and one BLAS product
+# beats a sparse kernel's gather, scale and run sum.  Per pair on
+# the probe block (12 pairs in turn, 2-vCPU VM): 1.3 against 2.5 us at
+# n = 4, 2.6 against 7.8 us at n = 5, where a matrix takes 63 KB.  At
+# n = 6 a matrix takes 1.4 MB and the product costs 82 against 32 us
+# sparse, so six strands and up go letter by letter.
 _PAIR_STRANDS = 5
 
 
 def _max_abs(a: np.ndarray) -> int:
     if a.size == 0:
         return 0
-    return int(np.max(np.abs(a)))
+    return int(np.abs(a).max())
 
 
 def _bound(x: np.ndarray) -> int | None:
@@ -319,10 +323,11 @@ class UnipotentKernel:
 def apply_power_product(
     factors: list[tuple[UnipotentKernel, int]], x: np.ndarray
 ) -> np.ndarray:
-    """``gamma(b_1^e_1 .. b_k^e_k) @ x`` from the kernels of the ``b_i``, last first."""
+    """``gamma(b_1^e_1 .. b_k^e_k) @ x`` from the kernels of the ``b_i``, last
+    first, as a new array."""
     shape = x.shape
     width = shape[1] if x.ndim == 2 else 1
-    x = x.T.ravel()
+    x = x.T.flatten()
     bound = _bound(x)
     for kernel, e in reversed(factors):
         x, bound = kernel.power(x, width, e, bound)
@@ -433,46 +438,84 @@ def _apply_kernels(kernels: Iterable[GeneratorKernel], x: np.ndarray) -> np.ndar
     return _unstack(x, shape, width)
 
 
-@lru_cache(maxsize=None)
-def _letter_pair(n: int, first: Letter, second: Letter, order: str, /) -> GeneratorKernel:
-    """Kernel of ``G_first @ G_second``, the product of two letters' kernels (cached).
+@dataclass(frozen=True, eq=False)
+class _DensePair:
+    """``G_first @ G_second`` as a dense float64 matrix (read-only).
 
-    Its ``row_sum`` is the product's own, so :func:`_headroom` bounds a
-    pair's step exactly as it bounds a generator's.
+    Its entries are integers and ``row_sum``, its largest absolute row sum,
+    is below 2**53, so float64 holds every entry exactly.
     """
+
+    matrix: np.ndarray
+    row_sum: int
+
+
+@lru_cache(maxsize=None)
+def _letter_pair(n: int, first: Letter, second: Letter, order: str, /) -> _DensePair:
+    """``G_first @ G_second``, the product of two letters' kernels (cached)."""
     first_kernel = generator_matrix(n, *first, order)
     identity = np.eye(first_kernel.runs.size, dtype=np.int64)
     product = _apply_kernels((generator_matrix(n, *second, order), first_kernel), identity)
-    return GeneratorKernel.from_dense(product)
+    row_sum = int(np.abs(product).sum(axis=1).max())
+    if row_sum >= _FLOAT_EXACT:
+        raise CertificationError("letter pair is too large for exact float64 products")
+    matrix = product.astype(np.float64)
+    matrix.flags.writeable = False
+    return _DensePair(matrix, row_sum)
 
 
-def _letter_pairs(n: int, letters: tuple[Letter, ...], order: str) -> Iterator[GeneratorKernel]:
-    """Kernels of ``letters``, listed last first, two at a time; an odd
-    last one (the word's first letter) goes alone."""
-    for k in range(1, len(letters), 2):
-        first, second = letters[k], letters[k - 1]
+def _apply_pairs(
+    n: int, letters: tuple[Letter, ...], x: np.ndarray, order: str
+) -> tuple[np.ndarray, tuple[Letter, ...]]:
+    """Apply ``letters``, listed last first, two at a time by float64 products
+    (:func:`_letter_pair`) while that is exact.
+
+    A step runs only while ``max|x|`` times the pair's row sum, a bound of
+    every product and partial sum in it, stays below 2**53 and below
+    ``_INT64_SAFE``: float64 holds each such integer exactly, whatever the
+    summation order.  The bound is carried and rescanned as in
+    :func:`_headroom`.  Returns ``x`` after the steps taken, back in int64,
+    and the letters left: the word's first letter when their count is
+    odd, or the whole rest once the bound fails.  Python integers, or
+    int64 past the bound, take no step.
+    """
+    limit = min(_FLOAT_EXACT, _INT64_SAFE)
+    bound = _bound(x)
+    if bound is None or bound >= limit:
+        return x, letters
+    y = x.astype(np.float64)
+    k = 0
+    while k + 1 < len(letters):
+        first, second = letters[k + 1], letters[k]
         if abs(first[0] - second[0]) >= 2 and second < first:
             first, second = second, first  # far generators commute: one key for both orders
-        yield _letter_pair(n, first, second, order)
-    if len(letters) % 2:
-        yield generator_matrix(n, *letters[-1], order)
+        pair = _letter_pair(n, first, second, order)
+        bound *= pair.row_sum
+        if bound >= limit:
+            bound = _max_abs(y) * pair.row_sum
+            if bound >= limit:
+                break
+        y = np.dot(pair.matrix, y)
+        k += 2
+    return y.astype(np.int64), letters[k:]
 
 
 def _apply_word(b: BraidWord, x: np.ndarray, order: str) -> np.ndarray:
     """``gamma(b) @ x`` from the last letter of the freely reduced word (exact).
 
     sigma_i sigma_i^-1 = 1, so free reduction leaves gamma(b) as it is.  On
-    at most ``_PAIR_STRANDS`` strands a vector or narrow block takes the
-    letters two at a time (:func:`_letter_pairs`); anything else takes one
-    generator kernel per letter.
+    at most ``_PAIR_STRANDS`` strands a vector or narrow block first takes
+    the letters two at a time (:func:`_apply_pairs`); the letters left, and
+    every letter of anything else, take one generator kernel each.  The
+    result is a new array, even for the empty word.
     """
     n = b.strands
     letters = free_reduce(reversed(b.letters))
+    if not letters:
+        return x.copy()
     if n <= _PAIR_STRANDS and _narrow(x):
-        kernels: Iterable[GeneratorKernel] = _letter_pairs(n, letters, order)
-    else:
-        kernels = (generator_matrix(n, i, sign, order) for i, sign in letters)
-    return _apply_kernels(kernels, x)
+        x, letters = _apply_pairs(n, letters, x, order)
+    return _apply_kernels((generator_matrix(n, i, sign, order) for i, sign in letters), x)
 
 
 def gamma_matrix(b: BraidWord, basis: CommutatorBasis | None = None) -> GammaMatrix:
@@ -502,7 +545,7 @@ def gamma_matrix_definitional(b: BraidWord, basis: CommutatorBasis | None = None
 
 
 def gamma_apply(b: BraidWord, vector: np.ndarray, basis: CommutatorBasis) -> np.ndarray:
-    """gamma(b) @ vector without forming the product matrix (exact)."""
+    """gamma(b) @ vector without forming the product matrix (exact), as a new array."""
     if basis.rank != b.strands:
         raise RankError(f"rank mismatch: braid {b.strands}, basis {basis.rank}")
     return _apply_word(b, np.asarray(vector), basis.order)

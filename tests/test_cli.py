@@ -294,6 +294,46 @@ def test_numpy_is_imported_only_by_the_matrix_layer(tmp_path):
     assert rest[0][2]  # gamma is where numpy comes in
 
 
+def test_optimised_interpreter_gives_the_same_answers():
+    # python -O strips assert statements, so a certificate check written as
+    # one would vanish there; the answers and exit codes must not change.
+    # The 5-strand words take the float64 letter pairs.
+    rng = random.Random(55)
+    n = 5
+    word = BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(80)))
+    a = pure_generator_word(n, 2, 4)
+    conj = compose(pure_generator_word(n, 1, 5), a, pure_generator_word(n, 1, 5).inverse())
+    same = compose(word, a, conj, a.inverse(), conj.inverse())
+    pure = compose(*(pure_generator_word(n, *sorted(rng.sample(range(1, n + 1), 2))) ** rng.choice((1, -1))
+                     for _ in range(40)))
+    text = unparse_braid_word
+    cases = [
+        ("braid-eq", "-n", "5", text(word), text(same)),
+        ("braid-eq", "-n", "5", text(word), text(compose(same, a))),
+        ("clasp", "-n", "5", text(pure)),
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    procs = [subprocess.Popen([sys.executable, *flags, "-m", "linkhom.cli", *args, "--format", "json"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+             for flags in ((), ("-O",)) for args in cases]
+    answers = []
+    try:
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert not err, err
+            answers.append((proc.returncode, json.loads(out)))
+    finally:
+        for proc in procs:
+            proc.kill()  # a no-op for the processes already waited for
+            proc.communicate()
+    plain, optimised = answers[:len(cases)], answers[len(cases):]
+    assert optimised == plain
+    assert [code for code, _ in plain] == [0, 1, 0]
+    assert plain[0][1] == {"equal": True} and plain[1][1] == {"equal": False}
+    assert plain[2][1]["n"] == 5 and plain[2][1]["nu"]
+
+
 def test_tables_dump(capsys):
     code, out, _ = run(capsys, "tables", "--format", "json")
     assert code == 0

@@ -31,8 +31,10 @@ from linkhom.gamma import (
     structure_report,
 )
 from linkhom.claspers import (
+    CombClasper,
     clasp_vector_to_braid,
     comb_clasper_braid,
+    comb_kernel,
     enumerate_comb_claspers,
     extract_clasp_vector,
 )
@@ -536,8 +538,9 @@ def words_with_cancelling_runs(draw):
 @example(BraidWord(5, ((4, -1), (1, 1), (1, -1), (2, 1))), "weight-lex", 0, 0)
 def test_letter_pairs_match_the_dense_chain(word, order, width, seed):
     # narrow blocks on at most five strands go two letters at a time through
-    # the pair kernels; width 0 stands for a vector.  With a threshold of 16
-    # every step escalates to Python integers, with the same values.
+    # the float64 pair matrices; width 0 stands for a vector.  With a
+    # threshold of 16, which the float64 limit follows, every step
+    # escalates to Python integers, with the same values.
     basis = enumerate_basic_commutators(word.strands, order)
     draw = random.Random(seed)
     x = np.array([draw.randint(-50, 50) for _ in range(len(basis) * max(width, 1))])
@@ -558,11 +561,20 @@ def test_letter_pair_cache_stays_bounded(monkeypatch, rng):
     # take none
     pair = gamma._letter_pair
     pair.cache_clear()
-    calls = []
+    calls, built_keys = [], set()
 
     def spy(*args):
+        # each key is built at its first call: its float64 entries must be
+        # the exact integer product, with the product's own row sum
+        built = pair(*args)
+        if args not in built_keys:
+            built_keys.add(args)
+            n, first, second, order = args
+            product = dense_chain(BraidWord(n, (first, second)), enumerate_basic_commutators(n, order))
+            assert built.matrix.dtype == np.float64 and built.matrix.tolist() == product.tolist()
+            assert built.row_sum == int(np.abs(product).sum(axis=1).max()) < 2**53
         calls.append(args)
-        return pair(*args)
+        return built
 
     monkeypatch.setattr(gamma, "_letter_pair", spy)
     for n in (4, 5):
@@ -582,6 +594,71 @@ def test_letter_pair_cache_stays_bounded(monkeypatch, rng):
     gamma_matrix(word)
     gamma_apply(word, np.ones((24, 9), dtype=np.int64), enumerate_basic_commutators(4))
     assert pair.cache_info().currsize == held and len(calls) == called
+
+
+@settings(max_examples=80, deadline=None)
+@given(braid_words(max_letters=30), st.sampled_from(ORDER_TAGS), st.integers(0, 8),
+       st.integers(2**44, 2**52), st.integers(0, 2**32))
+@example(BraidWord(5, ((1, 1), (2, -1), (4, 1), (3, 1), (1, 1))), "weight-lex", 0, 2**62 - 1, 0)
+@example(BraidWord(5, ((1, 1), (2, -1), (4, 1), (3, 1))), "weight-revlex", 3, 2**62 - 1, 1)
+def test_float_pairs_hand_over_exactly(word, order, width, top, seed):
+    # entries near 2**53 leave the float64 pairs partway through the word;
+    # with int64 limited to 2**54 (the float64 limit stays 2**53), about a
+    # third of those words also turn to Python integers a few letters
+    # later.  An input past 2**53 never becomes float64, which would round
+    # 2**62 - 1.  Width 0 stands for a vector.
+    basis = enumerate_basic_commutators(word.strands, order)
+    draw = random.Random(seed)
+    x = np.array([draw.randint(-top, top) for _ in range(len(basis) * max(width, 1))],
+                 dtype=np.int64)
+    x = x.reshape(len(basis), width) if width else x
+    x.flat[0] = top
+    expect = (dense_chain(word, basis).astype(object) @ x.astype(object)).tolist()
+    got = gamma_apply(word, x, basis)
+    assert got.dtype in (np.int64, object) and got.tolist() == expect
+    with mock.patch.object(gamma, "_INT64_SAFE", 2**54):
+        got = gamma_apply(word, x, basis)
+    assert got.dtype in (np.int64, object) and got.tolist() == expect
+
+
+@pytest.mark.parametrize("n, text", [(4, "s2^-1 s3"), (5, "s1 s2")])
+def test_float_pairs_stop_below_two_to_the_53(n, text):
+    # x fills the largest row of the pair's product up to its bound: just
+    # below 2**53 the float64 product is exact, and the odd sum just above
+    # it, which float64 would round, is left to int64
+    word = parse_braid_word(text, n)
+    basis = enumerate_basic_commutators(n)
+    product = dense_chain(word, basis)
+    sums = np.abs(product).sum(axis=1)
+    row, row_sum = int(sums.argmax()), int(sums.max())
+    assert row_sum % 2
+    for t in ((2**53 - 1) // row_sum, (2**53 // row_sum + 1) | 1):
+        x = np.sign(product[row]) * t
+        got = gamma_apply(word, x, basis)
+        assert got.dtype == np.int64
+        assert got.tolist() == (product.astype(object) @ x.astype(object)).tolist()
+        assert got[row] == t * row_sum
+
+
+def test_results_never_share_the_input():
+    # an empty product returns a new array: writing to the result must not
+    # write to the caller's input
+    basis = enumerate_basic_commutators(4)
+    cancels = parse_braid_word("s1 s1^-1", 4)
+    inputs = [np.arange(24), np.arange(24).reshape(24, 1), np.ones((24, 3), dtype=np.int64),
+              np.ones((24, 12), dtype=np.int64), np.arange(24).astype(object)]
+    for x in inputs:
+        out = gamma_apply(cancels, x, basis)
+        assert out.tolist() == x.tolist() and not np.shares_memory(out, x)
+    # no factor, exponent 0, and a comb kernel that sends x to x: the
+    # top-weight column is fixed by every pure braid
+    kernel = comb_kernel(CombClasper((1, 2)), 4)
+    top = np.zeros(24, dtype=np.int64)
+    top[-1] = 1
+    for factors in ([], [(kernel, 0)], [(kernel, 3)]):
+        for x in (top, top[:, None], np.ones((24, 2), dtype=np.int64) * top[:, None]):
+            out = gamma.apply_power_product(factors, x)
+            assert out.tolist() == x.tolist() and not np.shares_memory(out, x)
 
 
 def test_admission_limit():
