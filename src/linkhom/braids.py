@@ -242,6 +242,12 @@ def infer_strands(text: str) -> int:
     return best
 
 
+def expanded_length(text: str) -> int:
+    """Letters of the word, ``a<i>,<j>`` counted as the 2 (j - i) it expands to."""
+    pure = (_PURE_TOKEN.match(token) for token in text.split())
+    return sum(2 * max(int(m[2]) - int(m[1]), 0) if m else 1 for m in pure)
+
+
 def delete_strand(a: BraidWord, s: int) -> BraidWord:
     """Forget strand ``s`` (numbered by its top endpoint) and renumber.
 

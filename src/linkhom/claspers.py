@@ -48,7 +48,7 @@ from .braids import (
     invert,
     pure_generator_word,
 )
-from .reduced_free import LimitError, admit_strands, enumerate_basic_commutators
+from .reduced_free import MAX_BUILD_LETTERS, LimitError, admit_strands, enumerate_basic_commutators
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,7 +56,6 @@ if TYPE_CHECKING:
     from .gamma import UnipotentKernel
 
 CLASP_ORDER = "degree-lex"
-MAX_BUILD_LETTERS = 10**6  # clasp_vector_to_braid takes about 1 s and 150 MB for these
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ outside the classification), 64 usage error, 65 data error (unreadable or
 invalid files, values in them that are not JSON integers, integers of more
 than 4300 digits, or inputs beyond the admitted size: every subcommand but
 act and tables refuses n >= 8, basis, nf and magnus included, before
-parsing; build refuses more than ``claspers.MAX_BUILD_LETTERS`` letters).
+parsing; build and act refuse braid words, and act image words, of more
+than 10^6 letters; act counts before it expands ``a<i>,<j>`` tokens).
 
 closure-eq witness multipliers can exceed 4300 decimal digits; a Python
 consumer of its JSON output needs ``sys.set_int_max_str_digits(0)``.
@@ -31,10 +32,12 @@ import contextlib
 import json
 import sys
 
-from .braids import BraidError, BraidWord, infer_strands, parse_braid_word, unparse_braid_word
+from .braids import BraidError, BraidWord, expanded_length, infer_strands, parse_braid_word
+from .braids import unparse_braid_word
 from .claspers import ClaspVector, clasp_vector_to_braid, extract_clasp_vector
 from .closure import PartialConjugation, closure_equivalent, move_tables, partial_conjugate
 from .reduced_free import (
+    MAX_BUILD_LETTERS,
     LimitError,
     RankError,
     admit_strands,
@@ -186,6 +189,8 @@ def _run(args) -> int:
 
     if args.command == "act":
         braid_text, word_text = args.braid, args.word
+        if (letters := expanded_length(braid_text)) > MAX_BUILD_LETTERS:
+            raise LimitError(f"braid of {letters} letters, above the limit of {MAX_BUILD_LETTERS}")
         n = args.strands
         if n is None:
             n = max(infer_strands(braid_text), parse_reduced_word(word_text).rank)

@@ -55,6 +55,7 @@ from .claspers import (
     read_clasp_numbers,
 )
 from .intlattice import IntegerLattice, gcd_all
+from .reduced_free import binomial
 
 EQUIVALENT = "equivalent"
 DISTINCT = "distinct"
@@ -446,9 +447,8 @@ def _layered_decision(
             steps += _commutator(loop[0][0], loop[1][0], c)
             continue
         steps += [(r, c * k) for r, k in loop]
-        pairs = c * (c - 1) // 2
         for (p, kp), (q, kq) in itertools.combinations(loop, 2):
-            if m := -pairs * kp * kq:
+            if m := -binomial(c, 2) * kp * kq:
                 steps += _commutator(p, q, m)
     witness += [Move(gen_rows[r].table, gen_rows[r].row, m) for r, m in steps]
     witness += [Move(row.table, row.row, c) for row, c in zip(free_rows, sol) if c]

@@ -52,7 +52,6 @@ integers, never floats.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable
@@ -69,6 +68,7 @@ from .reduced_free import (  # the size limit is re-exported from here
     RankError,
     admit_strands,
     artin_act,
+    binomial,
     commutator_word,
     enumerate_basic_commutators,
     rfg_normal_form,
@@ -246,14 +246,6 @@ class GeneratorKernel:
         return out
 
 
-def _binomial(e: int, j: int) -> int:
-    """``C(e, j)`` for any integer ``e``: the coefficient of ``t^j`` in ``(1 + t)^e``."""
-    out = 1
-    for k in range(j):
-        out *= e - k
-    return out // math.factorial(j)
-
-
 @dataclass(frozen=True, eq=False)
 class UnipotentKernel:
     """``gamma(b) = I + N`` for a braid ``b`` whose ``N`` raises weight by ``reach``.
@@ -306,7 +298,7 @@ class UnipotentKernel:
         if e == 0:
             return x, bound
         last = min(self.depth, e) if e > 0 else self.depth
-        binomials = [_binomial(e, j) for j in range(1, last + 1)]
+        binomials = [binomial(e, j) for j in range(1, last + 1)]
         factor = 1 + sum(
             max(1, abs(c)) * self.row_sum**j for j, c in enumerate(binomials, start=1)
         )

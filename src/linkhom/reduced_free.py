@@ -9,9 +9,9 @@ Three structures make RF_n computable:
 
 * :class:`MagnusSeries`: the ring of integer polynomials in
   noncommuting variables ``X_1 .. X_n`` where any monomial with a repeated
-  variable is zero.  The expansion ``x_i -> 1 + X_i`` is a well-defined
-  multiplicative map on RF_n, and since ``X_i^2 = 0`` the inverse letter
-  simply expands to ``1 - X_i``.
+  variable is zero.  The expansion ``x_i -> 1 + X_i`` is multiplicative on
+  RF_n, the inverse letter expands to ``1 - X_i`` as ``X_i^2 = 0``, and
+  powers are binomial sums that stop at degree ``rank``.
 
 * :class:`BasicCommutator`: left-normed brackets
   ``[i_1,..,i_l] = [[..[x_{i_1},x_{i_2}],..],x_{i_l}]`` on distinct indices
@@ -24,7 +24,7 @@ Three structures make RF_n computable:
   where the tail has the same degree, uses each variable once, and never
   starts with ``X_{i_1}``; so once all lighter factors are peeled off, the
   coefficient of ``X_{i_1}..X_{i_l}`` in the residual series is exactly
-  the exponent of ``[i_1,..,i_l]``.
+  the exponent ``e`` of ``[i_1,..,i_l]``, peeled off by its ``-e`` power.
 
 The braid group acts on RF_n through :func:`artin_act`.  The generator
 images are pinned by the golden matrices of the linear representation
@@ -145,11 +145,6 @@ class MagnusSeries:
     def one(cls, rank: int) -> "MagnusSeries":
         return cls(rank, {(): 1})
 
-    @classmethod
-    def letter(cls, rank: int, k: int, sign: int) -> "MagnusSeries":
-        """Expansion of a single group letter: 1 + sign * X_k."""
-        return cls(rank, {(): 1, (k,): sign})
-
     def coefficient(self, mono: Monomial) -> int:
         return self.coefficients.get(tuple(mono), 0)
 
@@ -164,11 +159,23 @@ class MagnusSeries:
         return series_multiply(self, other)
 
     def __pow__(self, exponent: int) -> "MagnusSeries":
-        base = self if exponent >= 0 else series_invert(self)
-        result = MagnusSeries.one(self.rank)
-        for _ in range(abs(exponent)):
-            result = series_multiply(result, base)
-        return result
+        """``(c + Q)^e = sum_j C(e, j) c^(e - j) Q^j``, ``c`` the constant term, over
+        ``j <= rank`` since ``Q^(rank + 1) = 0``; a negative ``e`` needs c = 1."""
+        c = self.coefficient(())
+        if exponent < 0 and c != 1:
+            raise RankError("series is invertible here only with constant term 1")
+        q = MagnusSeries(self.rank, {m: v for m, v in self.coefficients.items() if m})
+        out: dict[Monomial, int] = {}
+        term = MagnusSeries.one(self.rank)
+        for j in range(min(exponent, self.rank) + 1 if exponent >= 0 else self.rank + 1):
+            # c = 1 when e < 0, and 1 ** -2 would be the float 1.0
+            scale = binomial(exponent, j) * (c ** (exponent - j) if exponent >= 0 else 1)
+            for m, v in term.coefficients.items():
+                out[m] = out.get(m, 0) + scale * v
+            term = series_multiply(term, q)
+            if not term.coefficients:
+                break
+        return MagnusSeries(self.rank, {m: v for m, v in out.items() if v})
 
     def is_one(self) -> bool:
         return self.coefficients == {(): 1}
@@ -201,24 +208,13 @@ def series_multiply(a: MagnusSeries, b: MagnusSeries) -> MagnusSeries:
 
 
 def series_invert(a: MagnusSeries) -> MagnusSeries:
-    """Inverse of 1 + Q as the alternating sum 1 - Q + Q^2 - ... (Q nilpotent)."""
-    if a.coefficient(()) != 1:
-        raise RankError("series is invertible here only with constant term 1")
-    q = MagnusSeries(a.rank, {m: c for m, c in a.coefficients.items() if m})
-    out: dict[Monomial, int] = {(): 1}
-    power = MagnusSeries.one(a.rank)
-    for k in range(1, a.rank + 1):
-        power = series_multiply(power, q)
-        if not power.coefficients:
-            break
-        sign = -1 if k % 2 else 1
-        for m, c in power.coefficients.items():
-            val = out.get(m, 0) + sign * c
-            if val:
-                out[m] = val
-            else:
-                out.pop(m, None)
-    return MagnusSeries(a.rank, out)
+    """Inverse of a series with constant term 1: ``a ** -1``."""
+    return a ** -1
+
+
+def binomial(e: int, j: int) -> int:
+    """``C(e, j)`` for any integer ``e``: the coefficient of ``t^j`` in ``(1 + t)^e``."""
+    return math.comb(e, j) if e >= 0 else (-1) ** j * math.comb(j - e - 1, j)
 
 
 def _multiply_by_letter(series: MagnusSeries, k: int, sign: int) -> MagnusSeries:
@@ -361,6 +357,7 @@ def weight_size_formula(n: int, weight: int) -> int:
 # strands (16072) one dense matrix alone takes 2 GB.
 MAX_STRANDS = 7
 MAX_BASIS_SIZE = basis_size_formula(MAX_STRANDS)
+MAX_BUILD_LETTERS = 10**6  # a braid or image word this long takes 1-2 s and 150-230 MB
 
 
 class LimitError(ValueError):
@@ -446,9 +443,9 @@ def rfg_normal_form(w: ReducedWord, basis: CommutatorBasis | None = None) -> Exp
     """Unique exponents with ``w`` = ordered product of basic-commutator powers.
 
     Weight peeling on the Magnus expansion: at weight t the coefficient of
-    X^alpha is read off for every weight-t basis element, then the series
-    of the ordered weight-t product is divided out on the left and the next
-    weight is processed.  The final residual must be 1; this is checked.
+    X^alpha is read off for every weight-t basis element, then the residual
+    is multiplied on the left by each of their series to the power -e, in
+    basis order.  The final residual must be 1; this is checked.
     """
     if basis is None:
         basis = enumerate_basic_commutators(w.rank)
@@ -459,16 +456,12 @@ def rfg_normal_form(w: ReducedWord, basis: CommutatorBasis | None = None) -> Exp
     residual = magnus_expand(w)
     for weight in range(1, n + 1):
         rng = basis.weight_range(weight)
-        peel = MagnusSeries.one(n)
         for k in rng:
-            alpha = basis.elements[k]
-            e = residual.coefficient(alpha.sequence)
-            values[k] = e
-            if e:
-                peel = series_multiply(peel, _commutator_series(n, alpha.sequence) ** e)
-        if peel.is_one():
-            continue
-        residual = series_multiply(series_invert(peel), residual)
+            values[k] = residual.coefficient(basis.elements[k].sequence)
+        for k in rng:
+            if values[k]:
+                power = _commutator_series(n, basis.elements[k].sequence) ** -values[k]
+                residual = series_multiply(power, residual)
     if not residual.is_one():
         raise CertificationError("peeling left a nontrivial residual series")
     return ExponentVector(basis, tuple(values))
@@ -508,7 +501,8 @@ def _act_letter(i: int, braid_sign: int, k: int, s: int) -> tuple[Letter, ...]:
 
 def artin_act(b: BraidWord, w: ReducedWord) -> ReducedWord:
     """Action of a braid on RF_n, with the product braid acting as the
-    composition of the factors' actions (last letter applied first)."""
+    composition of the factors' actions (last letter applied first),
+    refused once the image passes :data:`MAX_BUILD_LETTERS` letters."""
     if b.strands != w.rank:
         raise BraidError(f"braid on {b.strands} strands cannot act on rank {w.rank}")
     letters = w.letters
@@ -517,4 +511,7 @@ def artin_act(b: BraidWord, w: ReducedWord) -> ReducedWord:
         for k, s in letters:
             out.extend(_act_letter(i, sign, k, s))
         letters = free_reduce(out)
+        if len(letters) > MAX_BUILD_LETTERS:
+            raise LimitError(f"the image has {len(letters)} letters, "
+                             f"above the limit of {MAX_BUILD_LETTERS}")
     return ReducedWord(w.rank, letters)

@@ -99,10 +99,41 @@ def test_reduced_words_infer_their_rank(capsys):
     assert run(capsys, "nf", "x1^2")[0] == 64
 
 
+def test_nf_json_values_are_integers(capsys):
+    # x2^2000 x1^2000: the exponent of (1,2) is read off a power of -2000
+    long_word = " ".join(["x2"] * 2000 + ["x1"] * 2000)
+    for word in ("x2 x1", "x3 x2^-1 x1 x3^-1 x2", long_word):
+        code, out, _ = run(capsys, "nf", word, "--format", "json")
+        assert code == 0
+        values = json.loads(out)["coefficients"].values()
+        assert values and all(type(v) is int for v in values)
+    assert json.loads(out)["coefficients"]["1.2"] == -4_000_000
+
+
 def test_act(capsys):
     code, out, _ = run(capsys, "act", "s1", "x2")
     assert code == 0
     assert out.strip() == "x2^-1 x1 x2"
+
+
+def test_act_refuses_an_image_past_the_letter_limit(capsys):
+    # each s1 s2^-1 multiplies the length of the image by about 2.6:
+    # 8 pairs give 3191 letters, 13 pairs 392,833 and 14 pairs 1,028,455
+    code, out, _ = run(capsys, "act", " ".join(["s1 s2^-1"] * 8), "x1")
+    assert code == 0 and len(out.split()) == 3191
+    code, out, err = run(capsys, "act", " ".join(["s1 s2^-1"] * 14), "x1")
+    assert (code, out) == (65, "")
+    assert "1028455 letters" in err and "limit of 1000000" in err
+
+
+def test_act_counts_pure_tokens_before_expanding_them(capsys):
+    # a1,500001 expands to 1,000,000 letters, a1,500002 to 1,000,002
+    code, out, err = run(capsys, "act", "a1,500002", "x2")
+    assert (code, out) == (65, "")
+    assert "braid of 1000002 letters" in err
+    assert run(capsys, "act", f"s1 a1,{10**20}", "x2")[:2] == (65, "")
+    # a malformed token after a huge one does not cancel its count
+    assert run(capsys, "act", f"a1,{10**20} a{10**20},1", "x2")[:2] == (65, "")
 
 
 def test_clasp_build_round_trip(capsys, tmp_path):
@@ -352,6 +383,13 @@ def test_usage_errors(capsys):
     assert run(capsys, "nope")[0] == 64
 
 
+def test_build_reads_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"n": 3, "nu": {"1.2": 1}})))
+    assert run(capsys, "build", "-") == (0, "s1 s1\n", "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("{broken"))
+    assert run(capsys, "build", "-")[0] == 65
+
+
 def test_data_errors(capsys, tmp_path):
     assert run(capsys, "closure-eq", "/does/not/exist.json", "/neither.json")[0] == 65
     bad = tmp_path / "bad.json"
@@ -523,8 +561,6 @@ def cli_calls(draw):
     """
     sub = draw(st.sampled_from(_SUBCOMMANDS))
     noisy = draw(st.integers(0, 3)) == 0
-    # act expands a<i>,<j> unbounded by design: keep its pure tokens small
-    pure = _SMALL if sub == "act" else _SMALL + _HUGE
 
     def index(pool):
         return draw(st.sampled_from(pool[:4]) | st.sampled_from(pool))
@@ -539,7 +575,7 @@ def cli_calls(draw):
             if kind == "s":
                 tokens.append(f"s{index(_SMALL + _HUGE)}{suffix()}")
             elif kind == "a":
-                i, j = index(pure), index(pure)
+                i, j = index(_SMALL + _HUGE), index(_SMALL + _HUGE)
                 if not noisy:
                     i, j = sorted((i, j), key=int)
                 tokens.append(f"a{i},{j}{suffix()}")
@@ -587,6 +623,7 @@ def fuzz_dir(tmp_path_factory):
 @example(["clasp", "s99999999999999999999"])
 @example(["clasp", "s9999999"])
 @example(["gamma", "a1,999999"])
+@example(["act", "a1,2999999", "x1"])
 @example(["build", ("file", json.dumps({"n": 3, "nu": {"1.2": 10**30}}))])
 @example(["build", ("file", json.dumps({"n": 3, "nu": {"1.3": 10**6}}))])
 def test_cli_grammar_fuzz(fuzz_dir, argv):

@@ -17,6 +17,7 @@ from linkhom.braids import (
     pure_generator_word,
 )
 from linkhom.gamma import (
+    GammaMatrix,
     GeneratorKernel,
     _apply_kernels,
     _certified_inverse,
@@ -755,6 +756,52 @@ def test_structure_random(rng):
         for _ in range(10):
             word = random_braid(rng, n, rng.randint(0, 8))
             assert structure_report(gamma_matrix(word), word).ok
+
+
+def corrupted(m, r, c, value):
+    matrix = m.matrix.copy()
+    matrix[r, c] = value
+    return GammaMatrix(m.basis, matrix)
+
+
+def test_structure_report_flags_each_corruption():
+    word = BraidWord.sigma(4, 1)
+    m = gamma_matrix(word)
+    w1, w2 = m.basis.weight_range(1), m.basis.weight_range(2)
+    # one entry of a weight-1 row in a weight-2 column
+    report = structure_report(corrupted(m, w1.start, w2.start, 1), word)
+    assert not report.ok and not report.block_triangular
+    assert report.permutation_block_ok and report.pair_block_ok
+    assert report.violations == ["entry ((1), (1,2)) above the diagonal blocks"]
+    # sigma_1 swaps x1 and x2, so the (1), (1) entry is 0
+    report = structure_report(corrupted(m, w1.start, w1.start, 1), word)
+    assert not report.ok and not report.permutation_block_ok
+    assert report.block_triangular and report.pair_block_ok
+    assert report.violations == ["weight-1 block at column (1) differs from the permutation"]
+    # sigma_1 sends [x1, x2] to [x2, x1] = [x1, x2]^-1: a -1 on the diagonal
+    assert m.matrix[w2.start, w2.start] == -1
+    report = structure_report(corrupted(m, w2.start, w2.start, 1), word)
+    assert not report.ok and not report.pair_block_ok
+    assert report.block_triangular and report.permutation_block_ok
+    assert report.violations == [
+        "weight-2 block at column (1,2) differs from the signed pair action"
+    ]
+    assert report.diagonal_blocks_identity is None
+
+    pure = parse_braid_word("a1,2", 4)
+    m = gamma_matrix(pure)
+    w3 = m.basis.weight_range(3)
+    report = structure_report(corrupted(m, w3.start, w3.start + 1, 1), pure)
+    assert not report.ok and report.diagonal_blocks_identity is False
+    assert report.block_triangular and report.permutation_block_ok and report.pair_block_ok
+    assert report.violations == ["weight-3 diagonal block is not the identity"]
+
+
+def test_generator_matrix_refuses_index_and_sign():
+    with pytest.raises(BraidError, match="out of range"):
+        gamma.generator_matrix(4, 0, 1, "weight-lex")
+    with pytest.raises(BraidError, match="must be 1 or -1"):
+        gamma.generator_matrix(4, 1, 2, "weight-lex")
 
 
 def diagonal_block(m, weight):

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkhom.braids import BraidWord, compose
 from linkhom.reduced_free import (
@@ -11,6 +13,7 @@ from linkhom.reduced_free import (
     ReducedWord,
     artin_act,
     basis_size_formula,
+    binomial,
     commutator_word,
     enumerate_basic_commutators,
     exponent_vector_from_dict,
@@ -72,11 +75,66 @@ def test_series_invert_is_inverse(rng):
         series = magnus_expand(w)
         assert series_multiply(series, series_invert(series)).is_one()
         assert series_multiply(series_invert(series), series).is_one()
+        assert all(type(v) is int for v in series_invert(series).coefficients.values())
 
 
 def test_series_invert_needs_unit():
     with pytest.raises(RankError):
         series_invert(MagnusSeries(2, {(): 2}))
+
+
+def repeated_product(a, e):
+    """``a ** e`` by its definition, ``e`` >= 0: the oracle of the binomial power."""
+    out = MagnusSeries.one(a.rank)
+    for _ in range(e):
+        out = series_multiply(out, a)
+    return out
+
+
+@st.composite
+def square_free_series(draw, constants=(-1, 0, 1, 2)):
+    rank = draw(st.integers(1, 5))
+    monomials = [m for k in range(1, rank + 1) for m in itertools.permutations(range(1, rank + 1), k)]
+    c = draw(st.sampled_from(constants))
+    terms = draw(st.dictionaries(st.sampled_from(monomials), st.integers(-3, 3), max_size=6))
+    coefficients = {m: v for m, v in terms.items() if v}
+    if c:
+        coefficients[()] = c
+    return MagnusSeries(rank, coefficients)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(square_free_series())
+def test_power_is_the_repeated_product(a):
+    for e in range(7):
+        power = a ** e
+        assert power == repeated_product(a, e)
+        assert all(type(v) is int for v in power.coefficients.values())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(square_free_series(constants=(1,)), st.integers(1, 6))
+def test_negative_power_inverts(a, e):
+    inverse = a ** -e
+    assert inverse == series_invert(a) ** e
+    assert all(type(v) is int for v in inverse.coefficients.values())
+    assert series_multiply(a ** e, inverse).is_one()
+
+
+def test_power_does_not_stop_at_a_zero_binomial_term():
+    # (X1 + X2)^2: the terms C(2, j) 0^(2 - j) of j = 0, 1 vanish, that of j = 2 does not
+    a = MagnusSeries(2, {(1,): 1, (2,): 1})
+    assert (a ** 2).coefficients == {(1, 2): 1, (2, 1): 1}
+    assert (a ** 3).coefficients == {}
+    assert (a ** 0).is_one()
+    with pytest.raises(RankError):
+        a ** -1
+
+
+def test_binomial():
+    assert [binomial(5, j) for j in range(7)] == [1, 5, 10, 10, 5, 1, 0]
+    assert [binomial(-2, j) for j in range(4)] == [1, -2, 3, -4]
+    assert binomial(-3, 2) == 6 and binomial(0, 0) == 1
 
 
 def test_monomials_with_repeats_rejected():
@@ -207,7 +265,34 @@ def test_normal_form_round_trip(rng):
                     if rng.random() < 0.5
                 }
                 vec = exponent_vector_from_dict(basis, values)
-                assert rfg_normal_form(vec.to_word(), basis).values == vec.values
+                nf = rfg_normal_form(vec.to_word(), basis)
+                assert nf.values == vec.values
+                assert all(type(v) is int for v in nf.values)
+
+
+def powers_word(rank, exponents):
+    """x_rank^e_rank .. x_1^e_1 for ``exponents`` listed from x_rank down."""
+    letters = tuple((rank - k, 1) for k, e in enumerate(exponents) for _ in range(e))
+    return ReducedWord(rank, letters)
+
+
+@pytest.mark.parametrize(
+    "rank, e, heavy",
+    [
+        (2, 2000, {(1, 2): -4_000_000}),
+        (3, 100, {(1, 3, 2): -1_000_000}),
+        (4, 25, {(1, 3, 2): -15_625, (1, 4, 2): -15_625, (1, 4, 3): -15_625,
+                 (2, 4, 3): -15_625, (1, 2, 3, 4): -390_625, (1, 2, 4, 3): 390_625,
+                 (1, 3, 2, 4): -390_625, (1, 3, 4, 2): 390_625, (1, 4, 2, 3): -390_625}),
+    ],
+)
+def test_normal_form_of_long_powers(rank, e, heavy):
+    # x_n^e .. x_1^e: the exponents reach e^n, and the cost does not follow them
+    nf = rfg_normal_form(powers_word(rank, [e] * rank)).as_dict()
+    light = {(k,): e for k in range(1, rank + 1)}
+    light.update({pair: -e * e for pair in itertools.combinations(range(1, rank + 1), 2)})
+    assert nf == {**light, **heavy}
+    assert all(type(v) is int for v in nf.values())
 
 
 def test_rfg_equal():
