@@ -224,12 +224,24 @@ def clasp_vector_to_braid(v: ClaspVector) -> BraidWord:
 
 @lru_cache(maxsize=None)
 def comb_kernel(c: CombClasper, n: int) -> UnipotentKernel:
-    """gamma of the comb braid, kept as its weight-raising part (cached)."""
-    from .gamma import UnipotentKernel, gamma_apply
+    """gamma of the comb braid, kept as its weight-raising part (cached).
+
+    Degree 1 is read off the word of ``A_{i,m}``.  A comb ``(i_1,..,i_l)``
+    of higher degree is the commutator ``[p, a]`` of its parent comb ``p =
+    (i_1,..,i_{l-2}, i_l)`` and ``a = A_{i_{l-1}, i_l}``
+    (:func:`comb_clasper_braid`), so it is built from their kernels as
+    ``p a p^-1 a^-1``.
+    """
+    from .gamma import UnipotentKernel, apply_power_product, gamma_apply
 
     basis = enumerate_basic_commutators(n)
-    return UnipotentKernel.of_images(
-        lambda x: gamma_apply(comb_clasper_braid(c, n), x, basis), c.degree, basis)
+    seq = c.sequence
+    if c.degree == 1:
+        word = comb_clasper_braid(c, n)
+        return UnipotentKernel.of_images(lambda x: gamma_apply(word, x, basis), 1, basis)
+    parent, loop = (comb_kernel(CombClasper(s), n) for s in (seq[:-2] + seq[-1:], seq[-2:]))
+    factors = [(parent, 1), (loop, 1), (parent, -1), (loop, -1)]
+    return UnipotentKernel.of_images(lambda x: apply_power_product(factors, x), c.degree, basis)
 
 
 def comb_power_product(factors: list[tuple[CombClasper, int]], n: int, x: np.ndarray) -> np.ndarray:

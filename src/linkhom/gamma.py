@@ -17,11 +17,12 @@ they can check each other:
   This is the production route: :func:`generator_matrix` builds sigma_i
   from it, derives sigma_i^-1 exactly as ``sigma_i (sigma_i^2)^-1``, and
   caches both as sparse gather-scatter kernels.  :func:`gamma_apply`
-  freely reduces the word, then applies it from its last letter: a
-  vector or narrow block on at most five strands two letters at a time,
-  by one float64 product with the cached dense matrix of each pair, while
-  a bound keeps every value below 2**53; anything else, and the rest of
-  a word once that bound fails, letter by letter through the kernels;
+  freely reduces the word, then applies it from its last letter to a
+  vector, or to a block ``_NARROW`` columns at a time: on at most five
+  strands two letters at a time, by one float64 product with the cached
+  dense matrix of each pair, while a bound keeps every value below 2**53;
+  on more strands, and for the rest of a word once that bound fails,
+  letter by letter through the kernels;
 * the definitional route (:func:`gamma_matrix_definitional`): act on each
   basis commutator word, then take the normal form; it is the oracle the
   tests compare the closed form against.
@@ -53,8 +54,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Callable, Iterable
+from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -77,13 +78,13 @@ from .reduced_free import (  # the size limit is re-exported from here
 _INT64_SAFE = 2**62
 # float64 holds every integer of absolute value up to this exactly (IEEE 754).
 _FLOAT_EXACT = 2**53
-# Blocks of at most this many columns are applied as stacked columns by
-# summing runs, wider ones by layers.  Per letter at n = 5: 8 against 31 us
-# at 4 columns, 14 against 47 us at 8; at n = 6 the layers win from about
-# 16 columns on.
+# Every product applies a vector, or a block this many columns at a time
+# (:func:`_in_blocks`), stacked end to end so that one gather, scale and
+# run sum covers all its columns.  Per letter at n = 5, stacked against one
+# column after another: 8 against 31 us at 4 columns, 14 against 47 us at 8.
 _NARROW = 8
-# On at most this many strands a vector or narrow block takes the letters
-# two at a time, by one float64 product with the cached dense matrix of
+# On at most this many strands a vector or block takes the letters two at
+# a time, by one float64 product with the cached dense matrix of
 # their product (:func:`_apply_pairs`).  A step there is a few
 # microseconds, so numpy's per-call overhead counts, and one BLAS product
 # beats a sparse kernel's gather, scale and run sum.  Per pair on
@@ -124,22 +125,22 @@ def _headroom(x: np.ndarray, bound: int | None, factor: int) -> tuple[np.ndarray
     return x, bound
 
 
-def _narrow(x: np.ndarray) -> bool:
-    return x.ndim == 1 or x.shape[1] <= _NARROW
+def _in_blocks(apply: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """``apply(x)`` for a vector or a block of at most ``_NARROW`` columns; a
+    wider block ``_NARROW`` columns at a time, the results joined (as Python
+    integers if any of them turned to Python integers)."""
+    if x.ndim == 1 or x.shape[1] <= _NARROW:
+        return apply(x)
+    return np.hstack([apply(x[:, k : k + _NARROW]) for k in range(0, x.shape[1], _NARROW)])
 
 
-def _stack(x: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """A vector or narrow block as one vector, its columns end to end, and
-    its width; a wide block stays as it is, with width None."""
-    if not _narrow(x):
-        return x, None
-    if x.ndim == 1:
-        return x, 1
-    return x.T.ravel(), x.shape[1]
+def _stack(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """A vector or block as a new vector, its columns end to end, and its width."""
+    return x.T.flatten(), 1 if x.ndim == 1 else x.shape[1]
 
 
-def _unstack(x: np.ndarray, shape: tuple[int, ...], width: int | None) -> np.ndarray:
-    return x if width is None else x.reshape(shape[::-1]).T
+def _unstack(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return x.reshape(shape[::-1]).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +150,8 @@ class _Runs:
     Row ``rows[k]`` holds ``coeffs`` at ``cols`` from ``starts[k]`` to the
     next start.  ``M @ x`` for ``width`` columns stacked end to end is one
     gather, scale and run sum over the entries repeated once per column
-    (cached per width), so a narrow block costs about what a vector does.
+    (cached per width), so a block of a few columns costs about what a
+    vector does.
     """
 
     size: int
@@ -196,15 +198,12 @@ class _Runs:
 class GeneratorKernel:
     """One generator matrix ``G`` in gather-scatter form (read-only).
 
-    ``runs`` lists the nonzero entries of ``G`` row by row; ``G @ x`` for a
-    vector or a narrow block, stacked into one vector (see :func:`_stack`),
-    sums them run by run.  A wide block goes by layers instead, because
-    gathering whole long rows is slow: layer k holds the k-th entry of
-    every row that has one, so its rows are distinct and one gather, scale
-    and scatter-add applies it.  The first layer covers every row in
-    order.  ``x`` may hold int64 or Python integers.  ``row_sum`` is the
-    largest absolute row sum of ``G``, so ``max|G @ x| <= row_sum * max|x|``,
-    and no partial sum exceeds that bound either.
+    ``runs`` lists the nonzero entries of ``G`` row by row; ``G @ x`` for
+    a vector or a block of at most ``_NARROW`` columns, stacked into one
+    vector (see :func:`_stack`), sums them run by run.  ``x`` may hold
+    int64 or Python integers.  ``row_sum`` is the largest absolute row sum
+    of ``G``, so ``max|G @ x| <= row_sum * max|x|``, and no partial sum
+    exceeds that bound either.
     """
 
     runs: _Runs
@@ -212,38 +211,11 @@ class GeneratorKernel:
 
     @classmethod
     def from_dense(cls, g: np.ndarray) -> GeneratorKernel:
-        # both products need nonempty rows: np.add.reduceat reads an empty
-        # run as the next entry, not as 0, and the first layer is every row
-        if not np.count_nonzero(g, axis=1).all():
+        if not np.count_nonzero(g, axis=1).all():  # a zero row makes G singular
             raise CertificationError("generator matrix has a zero row")
         rows, cols = np.nonzero(g)
         runs = _Runs.of_entries(len(g), rows, cols, g[rows, cols])
         return cls(runs, int(np.abs(g).sum(axis=1).max()))
-
-    @cached_property
-    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Built at the first wide block; vectors and narrow blocks never read them."""
-        runs = self.runs
-        lengths = np.diff(runs.starts, append=len(runs.cols))
-        rows = np.repeat(runs.rows, lengths)
-        rank = np.arange(len(rows)) - np.repeat(runs.starts, lengths)
-        layers = tuple(
-            (rows[rank == k], runs.cols[rank == k], runs.coeffs[rank == k, None])
-            for k in range(int(lengths.max()))
-        )
-        for a in itertools.chain(*layers):
-            a.flags.writeable = False
-        return layers
-
-    def apply(self, x: np.ndarray, width: int = 1) -> np.ndarray:
-        """``G @ x`` for a wide block, or for ``width`` columns stacked in a vector."""
-        if x.ndim == 1:
-            return self.runs.apply(x, width)
-        (_, cols, coeffs), *rest = self.layers
-        out = coeffs * x[cols]
-        for rows, cols, coeffs in rest:
-            out[rows] += coeffs * x[cols]
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,13 +289,15 @@ def apply_power_product(
 ) -> np.ndarray:
     """``gamma(b_1^e_1 .. b_k^e_k) @ x`` from the kernels of the ``b_i``, last
     first, as a new array."""
-    shape = x.shape
-    width = shape[1] if x.ndim == 2 else 1
-    x = x.T.flatten()
-    bound = _bound(x)
-    for kernel, e in reversed(factors):
-        x, bound = kernel.power(x, width, e, bound)
-    return _unstack(x, shape, width)
+
+    def apply(block: np.ndarray) -> np.ndarray:
+        y, width = _stack(block)
+        bound = _bound(y)
+        for kernel, e in reversed(factors):
+            y, bound = kernel.power(y, width, e, bound)
+        return _unstack(y, block.shape)
+
+    return _in_blocks(apply, x)
 
 
 @dataclass(frozen=True)
@@ -413,7 +387,7 @@ def generator_matrix(n: int, i: int, sign: int, order: str, /) -> GeneratorKerne
     return GeneratorKernel.from_dense(_certified_inverse(plus, basis))
 
 
-def _apply_kernels(kernels: Iterable[GeneratorKernel], x: np.ndarray) -> np.ndarray:
+def _apply_kernels(kernels: Sequence[GeneratorKernel], x: np.ndarray) -> np.ndarray:
     """``G_1 @ .. @ G_k @ x`` for the kernels listed last first (exact).
 
     Stays in int64 while a running bound proves it safe: the last scanned
@@ -421,13 +395,16 @@ def _apply_kernels(kernels: Iterable[GeneratorKernel], x: np.ndarray) -> np.ndar
     bound reaches 2**62, ``x`` is scanned again; if the bound is still that
     large, the rest runs on Python integers.
     """
-    shape = x.shape
-    x, width = _stack(x)
-    bound = _bound(x)
-    for kernel in kernels:
-        x, bound = _headroom(x, bound, kernel.row_sum)
-        x = kernel.apply(x, width)
-    return _unstack(x, shape, width)
+
+    def apply(block: np.ndarray) -> np.ndarray:
+        y, width = _stack(block)
+        bound = _bound(y)
+        for kernel in kernels:
+            y, bound = _headroom(y, bound, kernel.row_sum)
+            y = kernel.runs.apply(y, width)
+        return _unstack(y, block.shape)
+
+    return _in_blocks(apply, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,19 +472,25 @@ def _apply_pairs(
 def _apply_word(b: BraidWord, x: np.ndarray, order: str) -> np.ndarray:
     """``gamma(b) @ x`` from the last letter of the freely reduced word (exact).
 
-    sigma_i sigma_i^-1 = 1, so free reduction leaves gamma(b) as it is.  On
-    at most ``_PAIR_STRANDS`` strands a vector or narrow block first takes
-    the letters two at a time (:func:`_apply_pairs`); the letters left, and
-    every letter of anything else, take one generator kernel each.  The
-    result is a new array, even for the empty word.
+    sigma_i sigma_i^-1 = 1, so free reduction leaves gamma(b) as it is.  A
+    vector, or a block ``_NARROW`` columns at a time (:func:`_in_blocks`),
+    first takes the letters two at a time on at most ``_PAIR_STRANDS``
+    strands (:func:`_apply_pairs`); the letters left, and every letter on
+    more strands, take one generator kernel each.  The result is a new
+    array, even for the empty word.
     """
     n = b.strands
     letters = free_reduce(reversed(b.letters))
     if not letters:
         return x.copy()
-    if n <= _PAIR_STRANDS and _narrow(x):
-        x, letters = _apply_pairs(n, letters, x, order)
-    return _apply_kernels((generator_matrix(n, i, sign, order) for i, sign in letters), x)
+
+    def apply(block: np.ndarray) -> np.ndarray:
+        rest = letters
+        if n <= _PAIR_STRANDS:
+            block, rest = _apply_pairs(n, letters, block, order)
+        return _apply_kernels([generator_matrix(n, i, sign, order) for i, sign in rest], block)
+
+    return _in_blocks(apply, x)
 
 
 def gamma_matrix(b: BraidWord, basis: CommutatorBasis | None = None) -> GammaMatrix:
@@ -540,7 +523,10 @@ def gamma_apply(b: BraidWord, vector: np.ndarray, basis: CommutatorBasis) -> np.
     """gamma(b) @ vector without forming the product matrix (exact), as a new array."""
     if basis.rank != b.strands:
         raise RankError(f"rank mismatch: braid {b.strands}, basis {basis.rank}")
-    return _apply_word(b, np.asarray(vector), basis.order)
+    x = np.asarray(vector)
+    if x.ndim not in (1, 2) or x.shape[0] != len(basis):
+        raise RankError(f"input of shape {x.shape} does not match basis size {len(basis)}")
+    return _apply_word(b, x, basis.order)
 
 
 @lru_cache(maxsize=None)

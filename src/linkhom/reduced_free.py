@@ -507,10 +507,7 @@ def artin_act(b: BraidWord, w: ReducedWord) -> ReducedWord:
         raise BraidError(f"braid on {b.strands} strands cannot act on rank {w.rank}")
     letters = w.letters
     for i, sign in reversed(b.letters):
-        out: list[Letter] = []
-        for k, s in letters:
-            out.extend(_act_letter(i, sign, k, s))
-        letters = free_reduce(out)
+        letters = free_reduce(image for k, s in letters for image in _act_letter(i, sign, k, s))
         if len(letters) > MAX_BUILD_LETTERS:
             raise LimitError(f"the image has {len(letters)} letters, "
                              f"above the limit of {MAX_BUILD_LETTERS}")

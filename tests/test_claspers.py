@@ -273,18 +273,31 @@ def test_comb_power_matches_word_power(data):
     assert np.array_equal(comb_power_product([(c, e), (c, -e)], n, x), x)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_comb_kernel_is_the_full_matrix(n):
-    # the kernel computes only the columns of weight <= n - degree; the
-    # columns it leaves out must be those of the identity
+    # the kernel keeps N = gamma(c) - I on the columns of weight <= n -
+    # degree; the columns it leaves out must be those of the identity.  A
+    # comb of degree 2 and up is built from kernels of lower degree, such
+    # as (1,2,3,4,5,6) from (1,2,3,4,6) and (5,6); at 6 strands the first
+    # comb of each degree 2-5 is checked
     basis = enumerate_basic_commutators(n)
-    eye = np.eye(len(basis), dtype=np.int64)
-    for c in enumerate_comb_claspers(n):
+    m = len(basis)
+    eye = np.eye(m, dtype=np.int64)
+    combs = enumerate_comb_claspers(n)
+    if n == 6:
+        combs = [next(c for c in combs if c.degree == d) for d in range(2, 6)]
+    for c in combs:
         matrix = gamma_matrix(comb_clasper_braid(c, n)).matrix
-        assert np.array_equal(comb_power_product([(c, 1)], n, eye), matrix)
         kernel = comb_kernel(c, n)
+        runs = kernel.runs
+        nil = np.zeros((m, m), dtype=np.int64)
+        nil[np.repeat(runs.rows, np.diff(runs.starts, append=len(runs.cols))), runs.cols] = runs.coeffs
+        kept = basis.weight_range(n - c.degree + 1).start
+        assert np.array_equal(nil[:, :kept], (matrix - eye)[:, :kept])
+        assert not nil[:, kept:].any() and np.array_equal(matrix[:, kept:], eye[:, kept:])
         assert kernel.depth == (n - 1) // c.degree
-        assert kernel.runs.cols.max() < basis.weight_range(n - c.degree + 1).start
+        if n <= 5:
+            assert np.array_equal(comb_power_product([(c, 1)], n, eye), matrix)
 
 
 def test_escalation_matches_int64(monkeypatch):

@@ -39,7 +39,7 @@ from linkhom.claspers import (
     enumerate_comb_claspers,
     extract_clasp_vector,
 )
-from linkhom.reduced_free import ORDER_TAGS, BasicCommutator, enumerate_basic_commutators
+from linkhom.reduced_free import ORDER_TAGS, BasicCommutator, RankError, enumerate_basic_commutators
 from conftest import exact_determinant, random_braid, random_clasp_vector, random_pure_braid
 
 # Golden 8x8 matrices of the two generators on three strands, basis order
@@ -117,8 +117,8 @@ def test_derived_inverse_at_seven_strands():
 
 def test_derived_inverse_cancels_its_generator_on_random_blocks(rng):
     # gamma_apply cancels sigma_i sigma_i^-1 before applying anything, so
-    # the two kernels are applied in turn here.  Widths 1 and 5 go through
-    # stacked columns, 12 through layers.
+    # the two kernels are applied in turn here.  Widths 1 and 5 are stacked
+    # whole, 12 goes 8 columns and then 4.
     for n in (3, 4, 5, 6):
         order = enumerate_basic_commutators(n).order
         for i in range(1, n):
@@ -509,9 +509,9 @@ def test_gamma_is_a_homomorphism_at_six_strands(a, b):
 
 
 @settings(max_examples=30, deadline=None)
-@given(braid_words(max_letters=20), st.integers(1, 12), st.data())
+@given(braid_words(max_letters=20), st.integers(1, 20), st.data())
 def test_blocks_of_every_width_match_the_matrix(word, width, data):
-    # narrow blocks go through stacked columns, wide ones through layers
+    # a block goes 8 stacked columns at a time, so up to three chunks here
     basis = enumerate_basic_commutators(word.strands)
     entries = st.lists(st.integers(-50, 50), min_size=len(basis) * width,
                        max_size=len(basis) * width)
@@ -538,7 +538,7 @@ def words_with_cancelling_runs(draw):
 @example(BraidWord(4, ((2, 1), (2, -1), (1, 1))), "weight-revlex", 3, 0)
 @example(BraidWord(5, ((4, -1), (1, 1), (1, -1), (2, 1))), "weight-lex", 0, 0)
 def test_letter_pairs_match_the_dense_chain(word, order, width, seed):
-    # narrow blocks on at most five strands go two letters at a time through
+    # blocks on at most five strands go two letters at a time through
     # the float64 pair matrices; width 0 stands for a vector.  With a
     # threshold of 16, which the float64 limit follows, every step
     # escalates to Python integers, with the same values.
@@ -558,8 +558,8 @@ def test_letter_pairs_match_the_dense_chain(word, order, width, seed):
 
 def test_letter_pair_cache_stays_bounded(monkeypatch, rng):
     # free reduction leaves no sigma_i sigma_i^-1 pair, so at most
-    # (2(n-1))^2 - 2(n-1) pairs exist per n; 6 strands and wide blocks
-    # take none
+    # (2(n-1))^2 - 2(n-1) pairs exist per n, whatever the width of the
+    # block; 6 strands take none
     pair = gamma._letter_pair
     pair.cache_clear()
     calls, built_keys = [], set()
@@ -584,16 +584,19 @@ def test_letter_pair_cache_stays_bounded(monkeypatch, rng):
             word = random_braid(rng, n, rng.randint(0, 40))
             word = BraidWord(n, word.letters + word.letters[::-1])  # a cancelling seam
             gamma_apply(word, probe_block(n), basis)
+        word = random_braid(rng, n, 30)
+        gamma_matrix(word)
+        gamma_apply(word, np.ones((len(basis), 9), dtype=np.int64), basis)
         keys = {args for args in calls if args[0] == n}
         assert keys
         assert all(first != (second[0], -second[1]) for _, first, second, _ in keys)
         assert len(keys) <= (2 * (n - 1)) ** 2 - 2 * (n - 1)
     held, called = pair.cache_info().currsize, len(calls)
     assert held == len(set(calls))
-    gamma_apply(random_braid(rng, 6, 30), probe_block(6), enumerate_basic_commutators(6))
-    word = random_braid(rng, 4, 30)
-    gamma_matrix(word)
-    gamma_apply(word, np.ones((24, 9), dtype=np.int64), enumerate_basic_commutators(4))
+    basis = enumerate_basic_commutators(6)
+    word = random_braid(rng, 6, 30)
+    gamma_apply(word, probe_block(6), basis)
+    gamma_apply(word, np.ones((len(basis), 9), dtype=np.int64), basis)
     assert pair.cache_info().currsize == held and len(calls) == called
 
 
@@ -639,6 +642,42 @@ def test_float_pairs_stop_below_two_to_the_53(n, text):
         assert got.dtype == np.int64
         assert got.tolist() == (product.astype(object) @ x.astype(object)).tolist()
         assert got[row] == t * row_sum
+
+
+@pytest.mark.parametrize("n, text", [(4, "s1 s3^-1 s2"), (5, "s2 s4 s1^-1 s3"),
+                                     (6, "s5 s1^-1 s3 s2")])
+def test_only_a_later_chunk_turns_to_python_integers(monkeypatch, n, text):
+    # a block of 20 columns goes 8, 8 and 4 columns at a time.  With the
+    # int64 threshold lowered to 2**20, the last chunk's entries near 2**19
+    # turn to Python integers and the first two chunks' 0s and 1s do not;
+    # the joined result keeps every value
+    word = parse_braid_word(text, n)
+    basis = enumerate_basic_commutators(n)
+    draw = random.Random(n)
+    x = np.array([[draw.randint(0, 1) for _ in range(20)] for _ in basis.elements],
+                 dtype=np.int64)
+    x[:, 16:] += 2**19
+    expect = (dense_chain(word, basis).astype(object) @ x.astype(object)).tolist()
+    monkeypatch.setattr(gamma, "_INT64_SAFE", 2**20)
+    assert gamma_apply(word, x[:, :16], basis).dtype == np.int64
+    assert gamma_apply(word, x[:, 16:], basis).dtype == object
+    got = gamma_apply(word, x, basis)
+    assert got.dtype == object and got.tolist() == expect
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_inputs_must_match_the_basis(n):
+    # the first axis needs one entry per basis element, checked before any
+    # letter is applied, so also for a word that freely reduces to nothing
+    basis = enumerate_basic_commutators(n)
+    m = len(basis)
+    words = [BraidWord.identity(n), parse_braid_word("s1 s1^-1", n), parse_braid_word("s1 s2", n)]
+    inputs = [np.zeros(m - 1, np.int64), np.zeros(m + 1, np.int64), np.zeros((m - 1, 3), np.int64),
+              np.zeros((m + 1, 20), np.int64), np.zeros((m, 2, 2), np.int64), np.int64(1)]
+    for word in words:
+        for x in inputs:
+            with pytest.raises(RankError, match="does not match basis size"):
+                gamma_apply(word, x, basis)
 
 
 def test_results_never_share_the_input():
