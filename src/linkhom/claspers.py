@@ -20,9 +20,10 @@ matrix of the braid with every strand outside S forgotten.  So column
 clasp number of exact support S once the lower degrees are gone.  After
 each degree its ordered comb product is divided out on the left, by
 applying the comb powers with negated exponents to the probes through
-cached sparse comb kernels (:func:`comb_kernel`); no strand is deleted
-and no braid word is built.  The word-level route (strand deletion and a
-residual word) is kept in the tests as the oracle.
+cached sparse comb kernels (:func:`comb_kernel`), each power one sparse
+product; no strand is deleted and no braid word is built.  The
+word-level route (strand deletion and a residual word) is kept in the
+tests as the oracle.
 
 Only the functions that work on matrices (comb kernels, comb powers and
 the probe readout) import :mod:`linkhom.gamma`, and numpy with it, and
@@ -65,15 +66,7 @@ class CombClasper:
     sequence: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        seq = self.sequence
-        if len(seq) < 2:
-            raise BraidError(f"comb sequence needs at least two strands, got {seq}")
-        if len(set(seq)) != len(seq):
-            raise BraidError(f"repeated strand in comb sequence {seq}")
-        if seq[0] != min(seq) or seq[-1] != max(seq):
-            raise BraidError(
-                f"comb sequence {seq} must start at its minimum and end at its maximum"
-            )
+        _check_comb_sequence(self.sequence)
 
     @property
     def degree(self) -> int:
@@ -84,6 +77,15 @@ class CombClasper:
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.sequence)) + ")"
+
+
+def _check_comb_sequence(seq: tuple[int, ...]) -> None:
+    if len(seq) < 2:
+        raise BraidError(f"comb sequence needs at least two strands, got {seq}")
+    if len(set(seq)) != len(seq):
+        raise BraidError(f"repeated strand in comb sequence {seq}")
+    if seq[0] != min(seq) or seq[-1] != max(seq):
+        raise BraidError(f"comb sequence {seq} must start at its minimum and end at its maximum")
 
 
 @lru_cache(maxsize=None)
@@ -134,8 +136,8 @@ class ClaspVector:
         cleaned = {}
         for seq, value in self.nu.items():
             seq = tuple(seq)
-            CombClasper(seq)
-            if max(seq) > self.n:
+            _check_comb_sequence(seq)
+            if seq[-1] > self.n:
                 raise BraidError(f"comb sequence {seq} does not fit on {self.n} strands")
             if value:
                 cleaned[seq] = int(value)
@@ -224,7 +226,7 @@ def clasp_vector_to_braid(v: ClaspVector) -> BraidWord:
 
 @lru_cache(maxsize=None)
 def comb_kernel(c: CombClasper, n: int) -> UnipotentKernel:
-    """gamma of the comb braid, kept as its weight-raising part (cached).
+    """gamma of the comb braid as ``I + N``, ``N^2 = 0``, kept as ``N`` (cached).
 
     Degree 1 is read off the word of ``A_{i,m}``.  A comb ``(i_1,..,i_l)``
     of higher degree is the commutator ``[p, a]`` of its parent comb ``p =

@@ -40,9 +40,9 @@ test oracle.
 A braid in the d-th lower central series term of the pure braid group,
 such as a comb braid of degree d, has ``gamma(b) = I + N`` with ``N``
 raising weight by at least d; :class:`UnipotentKernel` keeps that ``N``
-sparse and applies any power of ``I + N`` as a short binomial sum, so a
-power costs the same whatever its exponent.  ``sigma_i^2 = A_{i,i+1}`` is
-such a braid, so exponent -1 gives the inverse of its matrix.
+sparse.  For a comb braid and for ``sigma_i^2 = A_{i,i+1}``, a second
+``N`` repeats a strand, which vanishes in RF_n; so ``N^2 = 0`` and a power
+``I + e N`` is one sparse product, and exponent -1 gives the inverse.
 
 Arithmetic is float64 on the letter pairs and int64 elsewhere while a
 running bound proves it exact, and Python integers beyond, so all
@@ -69,7 +69,6 @@ from .reduced_free import (  # the size limit is re-exported from here
     RankError,
     admit_strands,
     artin_act,
-    binomial,
     commutator_word,
     enumerate_basic_commutators,
     rfg_normal_form,
@@ -132,6 +131,12 @@ def _in_blocks(apply: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.n
     if x.ndim == 1 or x.shape[1] <= _NARROW:
         return apply(x)
     return np.hstack([apply(x[:, k : k + _NARROW]) for k in range(0, x.shape[1], _NARROW)])
+
+
+def _check_input(x: np.ndarray, size: int) -> None:
+    """Refuse anything but a vector or block with one row per basis element."""
+    if x.ndim not in (1, 2) or x.shape[0] != size:
+        raise RankError(f"input of shape {x.shape} does not match basis size {size}")
 
 
 def _stack(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -227,14 +232,12 @@ class UnipotentKernel:
     least d + 1, so ``N`` sends weight w to weights w + d and up; a comb
     braid of degree d is such a braid.  Only the columns of weight at most
     ``n - reach`` can be nonzero, so only those are computed, and each of
-    their entries is checked to raise weight by ``reach``.  Weights run
-    from 1 to n and ``(depth + 1) * reach >= n`` for ``depth = (n - 1) //
-    reach``, so that check certifies ``N^(depth + 1) = 0`` once for every
-    power.  ``N`` is kept only as runs of its nonzero rows; ``row_sum`` is
-    its largest absolute row sum.
+    their entries is checked to raise weight by ``reach``.  No nonzero row
+    of ``N`` may index a nonzero column, which certifies ``N^2 = 0`` once
+    for every power.  ``N`` is kept only as runs of its nonzero rows;
+    ``row_sum`` is its largest absolute row sum.
     """
 
-    depth: int
     runs: _Runs
     row_sum: int
 
@@ -251,37 +254,29 @@ class UnipotentKernel:
         rows, cols = np.nonzero(nil)
         if (weights[rows] < weights[cols] + reach).any():
             raise CertificationError(f"gamma(b) - I does not raise weight by {reach}")
+        nonzero_cols = np.zeros(m, dtype=bool)
+        nonzero_cols[cols] = True
+        if nonzero_cols[rows].any():
+            raise CertificationError("gamma(b) - I does not square to zero")
         runs = _Runs.of_entries(m, rows, cols, nil[rows, cols])
         row_sum = int(np.add.reduceat(np.abs(runs.coeffs), runs.starts).max()) if len(rows) else 0
-        return cls((n - 1) // reach, runs, row_sum)
+        return cls(runs, row_sum)
 
     def power(
         self, x: np.ndarray, width: int, e: int, bound: int | None
     ) -> tuple[np.ndarray, int | None]:
-        """``(I + N)^e @ x`` as ``sum_j C(e, j) N^j x``, exactly.
+        """``(I + N)^e @ x = x + e N x``, exactly, as ``N^2 = 0``.
 
         ``x`` holds ``width`` stacked columns and ``bound`` bounds
         ``max|x|``; the returned bound covers the result (see
-        :func:`_headroom`).  The sum stops at the first vanishing term, and
-        at ``depth``, past which the powers of ``N`` vanish (certified by
-        :meth:`of_images`).  For e > 0 the binomials vanish past e, so the
-        sum stops there.
+        :func:`_headroom`).
         """
         if e == 0:
             return x, bound
-        last = min(self.depth, e) if e > 0 else self.depth
-        binomials = [binomial(e, j) for j in range(1, last + 1)]
-        factor = 1 + sum(
-            max(1, abs(c)) * self.row_sum**j for j, c in enumerate(binomials, start=1)
-        )
-        x, bound = _headroom(x, bound, factor)
-        out = term = x
-        for c in binomials:
-            term = self.runs.apply(term, width)
-            if not term.any():
-                break
-            out = out + c * term
-        return out, bound
+        x, bound = _headroom(x, bound, 1 + abs(e) * self.row_sum)
+        if bound == 0:  # x is zero, and e N x in int64 would overflow for a huge e
+            return x, bound
+        return x + e * self.runs.apply(x, width), bound
 
 
 def apply_power_product(
@@ -289,6 +284,9 @@ def apply_power_product(
 ) -> np.ndarray:
     """``gamma(b_1^e_1 .. b_k^e_k) @ x`` from the kernels of the ``b_i``, last
     first, as a new array."""
+    x = np.asarray(x)
+    for kernel, _ in factors:
+        _check_input(x, kernel.runs.size)
 
     def apply(block: np.ndarray) -> np.ndarray:
         y, width = _stack(block)
@@ -347,8 +345,8 @@ def _certified_inverse(plus: GeneratorKernel, basis: CommutatorBasis) -> np.ndar
     """Exact inverse of a generator matrix ``G``, as ``G (G^2)^-1``.
 
     ``sigma_i^2 = A_{i,i+1}`` is a pure braid, so ``G^2 = I + N`` with ``N``
-    raising weight (checked by :meth:`UnipotentKernel.of_images`), and
-    ``(G^2)^-1`` is the terminating series of :meth:`UnipotentKernel.power`.
+    raising weight and squaring to zero (checked by
+    :meth:`UnipotentKernel.of_images`), and ``(G^2)^-1 = I - N``.
     It is applied to the identity in blocks of ``_NARROW`` columns, then
     ``G``.  The result is certified by ``G @ G^-1 = I``, computed where the
     row-sum bound shows int64 cannot wrap, so the check is exact.
@@ -524,8 +522,7 @@ def gamma_apply(b: BraidWord, vector: np.ndarray, basis: CommutatorBasis) -> np.
     if basis.rank != b.strands:
         raise RankError(f"rank mismatch: braid {b.strands}, basis {basis.rank}")
     x = np.asarray(vector)
-    if x.ndim not in (1, 2) or x.shape[0] != len(basis):
-        raise RankError(f"input of shape {x.shape} does not match basis size {len(basis)}")
+    _check_input(x, len(basis))
     return _apply_word(b, x, basis.order)
 
 

@@ -24,7 +24,7 @@ from linkhom.claspers import (
     read_clasp_numbers,
 )
 from linkhom.gamma import LimitError, braid_equal_lh, gamma_apply, gamma_matrix, probe_block
-from linkhom.reduced_free import BasicCommutator, enumerate_basic_commutators
+from linkhom.reduced_free import BasicCommutator, RankError, enumerate_basic_commutators
 from conftest import random_clasp_vector, random_pure_braid
 from word_oracle import word_extract_clasp_vector
 
@@ -295,9 +295,46 @@ def test_comb_kernel_is_the_full_matrix(n):
         kept = basis.weight_range(n - c.degree + 1).start
         assert np.array_equal(nil[:, :kept], (matrix - eye)[:, :kept])
         assert not nil[:, kept:].any() and np.array_equal(matrix[:, kept:], eye[:, kept:])
-        assert kernel.depth == (n - 1) // c.degree
+        assert not (nil @ nil).any()
         if n <= 5:
             assert np.array_equal(comb_power_product([(c, 1)], n, eye), matrix)
+
+
+def test_comb_power_is_the_product_of_unit_powers(rng):
+    # (I + N)^e = I + e N: the power with exponent e is e unit steps
+    for n in (3, 4, 5):
+        basis = enumerate_basic_commutators(n)
+        x = np.array([rng.randint(-9, 9) for _ in range(len(basis) * 3)], dtype=np.int64)
+        x = x.reshape(len(basis), 3)
+        for c in rng.sample(enumerate_comb_claspers(n), 3):
+            for e in range(-12, 13):
+                steps = [(c, 1 if e > 0 else -1)] * abs(e)
+                assert np.array_equal(comb_power_product([(c, e)], n, x),
+                                      comb_power_product(steps, n, x))
+
+
+def test_huge_comb_powers_are_exact():
+    # e = 10**30 leaves int64 at once; a zero block has nothing to scale
+    c, e = CombClasper((1, 2)), 10**30
+    zeros = np.zeros((24, 2), dtype=np.int64)
+    out = comb_power_product([(c, e)], 4, zeros)
+    assert out.tolist() == zeros.tolist() and not np.shares_memory(out, zeros)
+    matrix = gamma_matrix(comb_clasper_braid(c, 4)).matrix.astype(object)
+    nil = matrix - np.eye(24, dtype=np.int64).astype(object)
+    assert not (nil @ nil).any()
+    probes = probe_block(4).astype(object)
+    out = comb_power_product([(c, e)], 4, probe_block(4))
+    assert out.dtype == object and out.tolist() == (probes + e * (nil @ probes)).tolist()
+
+
+def test_comb_powers_refuse_inputs_off_the_basis():
+    kernel = comb_kernel(CombClasper((1, 2)), 4)
+    for rows in (23, 25):
+        for x in (np.zeros(rows, np.int64), np.zeros((rows, 2), np.int64)):
+            with pytest.raises(RankError, match="does not match basis size 24"):
+                gamma.apply_power_product([(kernel, 1)], x)
+            with pytest.raises(RankError, match="does not match basis size 24"):
+                comb_power_product([(CombClasper((1, 2)), 1)], 4, x)
 
 
 def test_escalation_matches_int64(monkeypatch):
@@ -311,7 +348,7 @@ def test_escalation_matches_int64(monkeypatch):
     expect_extract, expect_pc = extract_clasp_vector(word), partial_conjugate(v, pc)
     assert expect_extract.get((1, 2)) == 6
     monkeypatch.setattr(gamma, "_INT64_SAFE", 2**4)
-    probes = comb_power_product([(CombClasper((1, 2)), 5)], 4, probe_block(4))
+    probes = comb_power_product([(CombClasper((1, 2)), 16)], 4, probe_block(4))
     assert probes.dtype == object
     assert extract_clasp_vector(word) == expect_extract
     assert partial_conjugate(v, pc) == expect_pc

@@ -19,6 +19,7 @@ from linkhom.braids import (
 from linkhom.gamma import (
     GammaMatrix,
     GeneratorKernel,
+    UnipotentKernel,
     _apply_kernels,
     _certified_inverse,
     _max_abs,
@@ -142,8 +143,8 @@ def test_inverse_certification_rejects_corrupted_generators():
     not_involution[0, 2] = 1
     with pytest.raises(CertificationError, match="raise weight"):
         _certified_inverse(GeneratorKernel.from_dense(not_involution), basis)
-    # the top-weight block [[-1,-1],[1,1]] squares to 0; the series never
-    # reads top-weight columns, so only the final G @ G^-1 = I sees it
+    # the top-weight block [[-1,-1],[1,1]] squares to 0; N is never read
+    # on top-weight columns, so only the final G @ G^-1 = I sees it
     top = basis.weight_range(3).start
     singular_top = good.copy()
     singular_top[top + 1, top] = 1
@@ -156,11 +157,20 @@ def test_inverse_certification_rejects_corrupted_generators():
         _certified_inverse(GeneratorKernel.from_dense(huge), basis)
     with pytest.raises(CertificationError):
         GeneratorKernel.from_dense(np.eye(3, dtype=np.int64) - np.diag([0, 0, 1]))
-    # an image two weights up is no defect: the series inverts it exactly
+    # an image two weights up is no defect: I - N inverts it exactly
     skips_weight = good.copy()
     skips_weight[basis.index_of(BasicCommutator((1, 2, 3))), 0] = 1
     inverse = _certified_inverse(GeneratorKernel.from_dense(skips_weight), basis)
     assert np.array_equal(skips_weight @ inverse, np.eye(len(basis), dtype=np.int64))
+
+
+def test_unipotent_kernels_must_square_to_zero():
+    # a1,2 a2,3 and a1,2 a3,4 are pure, so gamma - I raises weight, but
+    # their N is a sum of two comb kernels with a nonzero product
+    for text, n in (("a1,2 a2,3", 3), ("a1,2 a3,4", 4)):
+        word, basis = parse_braid_word(text, n), enumerate_basic_commutators(n)
+        with pytest.raises(CertificationError, match="does not square to zero"):
+            UnipotentKernel.of_images(lambda x: gamma_apply(word, x, basis), 1, basis)
 
 
 def test_braid_relations_hold():
