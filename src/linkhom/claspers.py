@@ -20,8 +20,10 @@ matrix of the braid with every strand outside S forgotten.  So column
 clasp number of exact support S once the lower degrees are gone.  After
 each degree its ordered comb product is divided out on the left, by
 applying the comb powers with negated exponents to the probes through
-cached sparse comb kernels (:func:`comb_kernel`), each power one sparse
-product; no strand is deleted and no braid word is built.  The
+cached comb kernels (:func:`comb_kernel`, each ``N`` one
+:class:`linkhom.gamma.SparseKernel`), each power ``I + e N`` one step of
+the loop that applies every sparse product in :mod:`linkhom.gamma`; no
+strand is deleted and no braid word is built.  The
 word-level route (strand deletion and a residual word) is kept in the
 tests as the oracle.
 
@@ -49,7 +51,9 @@ from .braids import (
     invert,
     pure_generator_word,
 )
-from .reduced_free import MAX_BUILD_LETTERS, LimitError, admit_strands, enumerate_basic_commutators
+from .reduced_free import (
+    MAX_BUILD_LETTERS, LimitError, RankError, admit_strands, enumerate_basic_commutators
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -314,13 +318,16 @@ def read_clasp_numbers(n: int, probes: np.ndarray) -> ClaspVector:
     product is divided out on the left by applying its comb powers with
     negated exponents to the probes.  When every degree is peeled the
     probes must be P again.  A readout that breaks any of this raises
-    :class:`CertificationError`.
+    :class:`CertificationError`; probes of any shape but one row per basis
+    element and one column per strand 2..n raise :class:`RankError`.
     """
     import numpy as np
 
     from .gamma import probe_block
 
     basis = enumerate_basic_commutators(n)
+    if probes.shape != (len(basis), n - 1):
+        raise RankError(f"probes of shape {probes.shape} are not {len(basis)} by {n - 1}")
     nu: dict[tuple[int, ...], int] = {}
     for plan in _readout_plan(n):
         if (probes[plan.unit] != 1).any():

@@ -16,13 +16,13 @@ they can check each other:
   signed sum over reversed subsequences when i leads and i+1 follows.
   This is the production route: :func:`generator_matrix` builds sigma_i
   from it, derives sigma_i^-1 exactly as ``sigma_i (sigma_i^2)^-1``, and
-  caches both as sparse gather-scatter kernels.  :func:`gamma_apply`
-  freely reduces the word, then applies it from its last letter to a
-  vector, or to a block ``_NARROW`` columns at a time: on at most five
-  strands two letters at a time, by one float64 product with the cached
-  dense matrix of each pair, while a bound keeps every value below 2**53;
-  on more strands, and for the rest of a word once that bound fails,
-  letter by letter through the kernels;
+  caches both as :class:`SparseKernel`.  :func:`gamma_apply` freely
+  reduces the word, then applies it from its last letter to a vector, or
+  to a block ``_NARROW`` columns at a time: on at most five strands two
+  letters at a time, by one float64 product with the cached dense matrix
+  of each pair, while a bound keeps every value below 2**53; on more
+  strands, and for the rest of a word once that bound fails, letter by
+  letter through the kernels;
 * the definitional route (:func:`gamma_matrix_definitional`): act on each
   basis commutator word, then take the normal form; it is the oracle the
   tests compare the closed form against.
@@ -40,14 +40,17 @@ test oracle.
 A braid in the d-th lower central series term of the pure braid group,
 such as a comb braid of degree d, has ``gamma(b) = I + N`` with ``N``
 raising weight by at least d; :class:`UnipotentKernel` keeps that ``N``
-sparse.  For a comb braid and for ``sigma_i^2 = A_{i,i+1}``, a second
-``N`` repeats a strand, which vanishes in RF_n; so ``N^2 = 0`` and a power
-``I + e N`` is one sparse product, and exponent -1 gives the inverse.
+as a :class:`SparseKernel`.  For a comb braid and for ``sigma_i^2 =
+A_{i,i+1}``, a second ``N`` repeats a strand, which vanishes in RF_n; so
+``N^2 = 0`` and a power ``I + e N`` is one sparse product, and exponent
+-1 gives the inverse.
 
-Arithmetic is float64 on the letter pairs and int64 elsewhere while a
-running bound proves it exact, and Python integers beyond, so all
-results are exact regardless of word length; they are int64 or Python
-integers, never floats.
+Each sparse product, ``G x`` or ``x + e N x``, is one step of one loop
+(:func:`_run_steps`).  Arithmetic is float64 on the letter pairs and
+int64 in that loop while a running bound proves it exact, and Python
+integers beyond, so all results are exact regardless of word length;
+they are int64 or Python integers, never floats.  Inputs of any integer
+or bool dtype are taken exactly; floats are refused.
 """
 
 from __future__ import annotations
@@ -105,25 +108,6 @@ def _bound(x: np.ndarray) -> int | None:
     return None if x.dtype == object else _max_abs(x)
 
 
-def _headroom(x: np.ndarray, bound: int | None, factor: int) -> tuple[np.ndarray, int | None]:
-    """Prepare ``x`` for a step that multiplies ``max|x|`` by at most ``factor``.
-
-    ``bound`` is a known bound of ``max|x|`` (see :func:`_bound`); the
-    returned bound covers the step's result and every partial sum in it.
-    ``x`` stays int64 while that bound is below 2**62, rescanning ``x`` once
-    the running product gets there, and turns into Python integers (bound
-    None) if the rescan does not help.
-    """
-    if bound is None:
-        return x, None
-    bound *= factor
-    if bound >= _INT64_SAFE:
-        bound = _max_abs(x) * factor
-        if bound >= _INT64_SAFE:
-            return x.astype(object), None
-    return x, bound
-
-
 def _in_blocks(apply: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """``apply(x)`` for a vector or a block of at most ``_NARROW`` columns; a
     wider block ``_NARROW`` columns at a time, the results joined (as Python
@@ -139,24 +123,32 @@ def _check_input(x: np.ndarray, size: int) -> None:
         raise RankError(f"input of shape {x.shape} does not match basis size {size}")
 
 
-def _stack(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """A vector or block as a new vector, its columns end to end, and its width."""
-    return x.T.flatten(), 1 if x.ndim == 1 else x.shape[1]
-
-
-def _unstack(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    return x.reshape(shape[::-1]).T
+def _exact_integers(x: np.ndarray) -> np.ndarray:
+    """``x`` as int64, or as Python integers where int64 cannot bound it: a
+    uint64 past 2**63, or int64's least value, which ``np.abs`` wraps.
+    Other dtypes are refused: truncating a float would go unnoticed."""
+    if x.dtype == object:
+        return x
+    if x.dtype.kind not in "biu":
+        raise TypeError(f"input of dtype {x.dtype} is not integer")
+    if x.dtype == np.uint64:
+        unbounded = x.size and x.max() >= 2**63
+    else:
+        unbounded = x.dtype == np.int64 and x.size and x.min() == -(2**63)
+    return x.astype(object) if unbounded else x.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
-class _Runs:
-    """A sparse matrix as runs of its nonzero rows, applied to stacked columns.
+class SparseKernel:
+    """A sparse integer matrix ``M`` as runs of its nonzero rows (read-only).
 
     Row ``rows[k]`` holds ``coeffs`` at ``cols`` from ``starts[k]`` to the
     next start.  ``M @ x`` for ``width`` columns stacked end to end is one
     gather, scale and run sum over the entries repeated once per column
     (cached per width), so a block of a few columns costs about what a
-    vector does.
+    vector does.  ``x`` may hold int64 or Python integers.  ``row_sum`` is
+    the largest absolute row sum of ``M``, so ``max|M @ x| <= row_sum *
+    max|x|``, and no partial sum exceeds that bound either.
     """
 
     size: int
@@ -164,15 +156,27 @@ class _Runs:
     starts: np.ndarray
     cols: np.ndarray
     coeffs: np.ndarray
+    row_sum: int
     tiles: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def of_entries(cls, size: int, rows: np.ndarray, cols: np.ndarray, coeffs: np.ndarray) -> _Runs:
+    def of_entries(
+        cls, size: int, rows: np.ndarray, cols: np.ndarray, coeffs: np.ndarray
+    ) -> SparseKernel:
         """From entries listed row by row (``np.nonzero`` order)."""
         kept, starts = np.unique(rows, return_index=True)
+        row_sum = int(np.add.reduceat(np.abs(coeffs), starts).max()) if len(starts) else 0
         for a in (kept, starts, cols, coeffs):
             a.flags.writeable = False
-        return cls(size, kept, starts, cols, coeffs)
+        return cls(size, kept, starts, cols, coeffs, row_sum)
+
+    @classmethod
+    def from_dense(cls, g: np.ndarray) -> SparseKernel:
+        """A generator matrix, which must have no zero row."""
+        if not np.count_nonzero(g, axis=1).all():  # a zero row makes G singular
+            raise CertificationError("generator matrix has a zero row")
+        rows, cols = np.nonzero(g)
+        return cls.of_entries(len(g), rows, cols, g[rows, cols])
 
     def _tile(self, width: int) -> tuple[np.ndarray | None, ...]:
         tile = self.tiles.get(width)
@@ -199,28 +203,45 @@ class _Runs:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorKernel:
-    """One generator matrix ``G`` in gather-scatter form (read-only).
+def _kernel_steps(kernels: Sequence[SparseKernel]) -> list[tuple]:
+    """The steps of :func:`_run_steps` that apply the kernels' matrices in turn."""
+    return [(kernel.row_sum, kernel, None) for kernel in kernels]
 
-    ``runs`` lists the nonzero entries of ``G`` row by row; ``G @ x`` for
-    a vector or a block of at most ``_NARROW`` columns, stacked into one
-    vector (see :func:`_stack`), sums them run by run.  ``x`` may hold
-    int64 or Python integers.  ``row_sum`` is the largest absolute row sum
-    of ``G``, so ``max|G @ x| <= row_sum * max|x|``, and no partial sum
-    exceeds that bound either.
+
+def _run_steps(steps: Sequence[tuple], x: np.ndarray) -> np.ndarray:
+    """``x`` after ``steps``, first to last, for a vector or a block of at
+    most ``_NARROW`` columns (exact), as a new array.
+
+    A step ``(factor, kernel, None)`` applies the kernel's matrix ``G``,
+    and ``(factor, kernel, e)`` applies ``(I + N)^e = I + e N`` for the
+    kernel's matrix ``N``, with ``N^2 = 0``.  ``factor`` bounds how much the
+    step can raise ``max|x|``: ``row_sum``, and ``1 + |e| row_sum``.  The
+    columns are stacked end to end, so each step is one sparse product
+    (:meth:`SparseKernel.apply`).  They stay int64 while a running bound
+    proves it safe: the last scanned ``max|x|`` times the factors of the
+    steps taken since, which bounds every result and partial sum.  When the
+    bound reaches 2**62, ``x`` is scanned again; if the bound is still that
+    large, the rest runs on Python integers.
     """
-
-    runs: _Runs
-    row_sum: int
-
-    @classmethod
-    def from_dense(cls, g: np.ndarray) -> GeneratorKernel:
-        if not np.count_nonzero(g, axis=1).all():  # a zero row makes G singular
-            raise CertificationError("generator matrix has a zero row")
-        rows, cols = np.nonzero(g)
-        runs = _Runs.of_entries(len(g), rows, cols, g[rows, cols])
-        return cls(runs, int(np.abs(g).sum(axis=1).max()))
+    if not steps:  # as when letter pairs took the whole word: nothing to scan
+        return x.copy()
+    y = x.T.flatten()
+    width = 1 if x.ndim == 1 else x.shape[1]
+    bound = _bound(y)
+    for factor, kernel, e in steps:
+        if bound is not None:
+            bound *= factor
+            if bound >= _INT64_SAFE:
+                bound = _max_abs(y) * factor
+                if bound >= _INT64_SAFE:
+                    y, bound = y.astype(object), None
+            if bound == 0:  # y is zero, and e N y in int64 would overflow for |e| >= 2**63
+                continue
+        if e is None:
+            y = kernel.apply(y, width)
+        else:
+            y = y + e * kernel.apply(y, width)
+    return y.reshape(x.shape[::-1]).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,12 +255,11 @@ class UnipotentKernel:
     ``n - reach`` can be nonzero, so only those are computed, and each of
     their entries is checked to raise weight by ``reach``.  No nonzero row
     of ``N`` may index a nonzero column, which certifies ``N^2 = 0`` once
-    for every power.  ``N`` is kept only as runs of its nonzero rows;
-    ``row_sum`` is its largest absolute row sum.
+    for every power, so ``(I + N)^e = I + e N`` is one step of
+    :func:`_run_steps`.  ``N`` is kept as the sparse kernel ``nil``.
     """
 
-    runs: _Runs
-    row_sum: int
+    nil: SparseKernel
 
     @classmethod
     def of_images(cls, images: Callable, reach: int, basis: CommutatorBasis) -> UnipotentKernel:
@@ -258,44 +278,20 @@ class UnipotentKernel:
         nonzero_cols[cols] = True
         if nonzero_cols[rows].any():
             raise CertificationError("gamma(b) - I does not square to zero")
-        runs = _Runs.of_entries(m, rows, cols, nil[rows, cols])
-        row_sum = int(np.add.reduceat(np.abs(runs.coeffs), runs.starts).max()) if len(rows) else 0
-        return cls(runs, row_sum)
-
-    def power(
-        self, x: np.ndarray, width: int, e: int, bound: int | None
-    ) -> tuple[np.ndarray, int | None]:
-        """``(I + N)^e @ x = x + e N x``, exactly, as ``N^2 = 0``.
-
-        ``x`` holds ``width`` stacked columns and ``bound`` bounds
-        ``max|x|``; the returned bound covers the result (see
-        :func:`_headroom`).
-        """
-        if e == 0:
-            return x, bound
-        x, bound = _headroom(x, bound, 1 + abs(e) * self.row_sum)
-        if bound == 0:  # x is zero, and e N x in int64 would overflow for a huge e
-            return x, bound
-        return x + e * self.runs.apply(x, width), bound
+        return cls(SparseKernel.of_entries(m, rows, cols, nil[rows, cols]))
 
 
 def apply_power_product(
     factors: list[tuple[UnipotentKernel, int]], x: np.ndarray
 ) -> np.ndarray:
     """``gamma(b_1^e_1 .. b_k^e_k) @ x`` from the kernels of the ``b_i``, last
-    first, as a new array."""
+    first, as a new array (exact)."""
     x = np.asarray(x)
-    for kernel, _ in factors:
-        _check_input(x, kernel.runs.size)
-
-    def apply(block: np.ndarray) -> np.ndarray:
-        y, width = _stack(block)
-        bound = _bound(y)
-        for kernel, e in reversed(factors):
-            y, bound = kernel.power(y, width, e, bound)
-        return _unstack(y, block.shape)
-
-    return _in_blocks(apply, x)
+    for size in {kernel.nil.size for kernel, _ in factors}:
+        _check_input(x, size)
+    x = _exact_integers(x)
+    steps = [(1 + abs(e) * k.nil.row_sum, k.nil, e) for k, e in reversed(factors) if e]
+    return _in_blocks(lambda block: _run_steps(steps, block), x)
 
 
 @dataclass(frozen=True)
@@ -341,32 +337,34 @@ def _definitional_column(b: BraidWord, alpha: BasicCommutator, basis: Commutator
     return list(rfg_normal_form(image, basis).values)
 
 
-def _certified_inverse(plus: GeneratorKernel, basis: CommutatorBasis) -> np.ndarray:
+def _certified_inverse(plus: SparseKernel, basis: CommutatorBasis) -> np.ndarray:
     """Exact inverse of a generator matrix ``G``, as ``G (G^2)^-1``.
 
     ``sigma_i^2 = A_{i,i+1}`` is a pure braid, so ``G^2 = I + N`` with ``N``
     raising weight and squaring to zero (checked by
-    :meth:`UnipotentKernel.of_images`), and ``(G^2)^-1 = I - N``.
-    It is applied to the identity in blocks of ``_NARROW`` columns, then
-    ``G``.  The result is certified by ``G @ G^-1 = I``, computed where the
-    row-sum bound shows int64 cannot wrap, so the check is exact.
+    :meth:`UnipotentKernel.of_images`), and ``(G^2)^-1 = I - N``.  Each
+    block of ``_NARROW`` identity columns takes ``I - N`` and then ``G`` in
+    one pass of :func:`_run_steps`.  The result is certified by ``G @ G^-1
+    = I``, computed where the row-sum bound shows int64 cannot wrap, so the
+    check is exact.
     """
     m = len(basis)
-    square = UnipotentKernel.of_images(lambda x: _apply_kernels((plus, plus), x), 1, basis)
+    nil = UnipotentKernel.of_images(lambda x: _apply_kernels((plus, plus), x), 1, basis).nil
+    steps = [(1 + nil.row_sum, nil, -1), (plus.row_sum, plus, None)]
     inv = np.empty((m, m), np.int64)
     for start in range(0, m, _NARROW):
         identity = np.eye(m, min(_NARROW, m - start), -start, np.int64)
-        block = _apply_kernels((plus,), apply_power_product([(square, -1)], identity))
+        block = _run_steps(steps, identity)
         if _max_abs(block) * plus.row_sum >= _INT64_SAFE:
             raise CertificationError("derived inverse is too large to certify in int64")
         inv[:, start : start + _NARROW] = block
-        if not np.array_equal(_apply_kernels((plus,), block), identity):
+        if not np.array_equal(_run_steps(steps[1:], block), identity):
             raise CertificationError("derived inverse is not the matrix inverse")
     return inv
 
 
 @lru_cache(maxsize=None)
-def generator_matrix(n: int, i: int, sign: int, order: str, /) -> GeneratorKernel:
+def generator_matrix(n: int, i: int, sign: int, order: str, /) -> SparseKernel:
     """Kernel of sigma_i^{sign} on n strands (cached).
 
     sigma_i comes from the closed form; sigma_i^-1 is derived from its
@@ -377,32 +375,19 @@ def generator_matrix(n: int, i: int, sign: int, order: str, /) -> GeneratorKerne
     if not 1 <= i <= n - 1:
         raise BraidError(f"generator index {i} out of range for {n} strands")
     if sign == 1:
-        return GeneratorKernel.from_dense(closed_form_generator_matrix(n, i, order))
+        return SparseKernel.from_dense(closed_form_generator_matrix(n, i, order))
     if sign != -1:
         raise BraidError(f"generator exponent must be 1 or -1, got {sign}")
     plus = generator_matrix(n, i, 1, order)
     basis = enumerate_basic_commutators(n, order)
-    return GeneratorKernel.from_dense(_certified_inverse(plus, basis))
+    return SparseKernel.from_dense(_certified_inverse(plus, basis))
 
 
-def _apply_kernels(kernels: Sequence[GeneratorKernel], x: np.ndarray) -> np.ndarray:
-    """``G_1 @ .. @ G_k @ x`` for the kernels listed last first (exact).
-
-    Stays in int64 while a running bound proves it safe: the last scanned
-    ``max|x|`` times the row sums of the kernels applied since.  When the
-    bound reaches 2**62, ``x`` is scanned again; if the bound is still that
-    large, the rest runs on Python integers.
-    """
-
-    def apply(block: np.ndarray) -> np.ndarray:
-        y, width = _stack(block)
-        bound = _bound(y)
-        for kernel in kernels:
-            y, bound = _headroom(y, bound, kernel.row_sum)
-            y = kernel.runs.apply(y, width)
-        return _unstack(y, block.shape)
-
-    return _in_blocks(apply, x)
+def _apply_kernels(kernels: Sequence[SparseKernel], x: np.ndarray) -> np.ndarray:
+    """``G_1 @ .. @ G_k @ x`` for the kernels listed last first (exact), a
+    wide block ``_NARROW`` columns at a time (see :func:`_run_steps`)."""
+    steps = _kernel_steps(kernels)
+    return _in_blocks(lambda block: _run_steps(steps, block), x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,7 +406,7 @@ class _DensePair:
 def _letter_pair(n: int, first: Letter, second: Letter, order: str, /) -> _DensePair:
     """``G_first @ G_second``, the product of two letters' kernels (cached)."""
     first_kernel = generator_matrix(n, *first, order)
-    identity = np.eye(first_kernel.runs.size, dtype=np.int64)
+    identity = np.eye(first_kernel.size, dtype=np.int64)
     product = _apply_kernels((generator_matrix(n, *second, order), first_kernel), identity)
     row_sum = int(np.abs(product).sum(axis=1).max())
     if row_sum >= _FLOAT_EXACT:
@@ -441,7 +426,7 @@ def _apply_pairs(
     every product and partial sum in it, stays below 2**53 and below
     ``_INT64_SAFE``: float64 holds each such integer exactly, whatever the
     summation order.  The bound is carried and rescanned as in
-    :func:`_headroom`.  Returns ``x`` after the steps taken, back in int64,
+    :func:`_run_steps`.  Returns ``x`` after the steps taken, back in int64,
     and the letters left: the word's first letter when their count is
     odd, or the whole rest once the bound fails.  Python integers, or
     int64 past the bound, take no step.
@@ -474,8 +459,9 @@ def _apply_word(b: BraidWord, x: np.ndarray, order: str) -> np.ndarray:
     vector, or a block ``_NARROW`` columns at a time (:func:`_in_blocks`),
     first takes the letters two at a time on at most ``_PAIR_STRANDS``
     strands (:func:`_apply_pairs`); the letters left, and every letter on
-    more strands, take one generator kernel each.  The result is a new
-    array, even for the empty word.
+    more strands, take one step of :func:`_run_steps` each, the sparse
+    kernel of the generator.  The result is a new array, even for the
+    empty word.
     """
     n = b.strands
     letters = free_reduce(reversed(b.letters))
@@ -486,7 +472,8 @@ def _apply_word(b: BraidWord, x: np.ndarray, order: str) -> np.ndarray:
         rest = letters
         if n <= _PAIR_STRANDS:
             block, rest = _apply_pairs(n, letters, block, order)
-        return _apply_kernels([generator_matrix(n, i, sign, order) for i, sign in rest], block)
+        kernels = [generator_matrix(n, i, sign, order) for i, sign in rest]
+        return _run_steps(_kernel_steps(kernels), block)
 
     return _in_blocks(apply, x)
 
@@ -523,7 +510,7 @@ def gamma_apply(b: BraidWord, vector: np.ndarray, basis: CommutatorBasis) -> np.
         raise RankError(f"rank mismatch: braid {b.strands}, basis {basis.rank}")
     x = np.asarray(vector)
     _check_input(x, len(basis))
-    return _apply_word(b, x, basis.order)
+    return _apply_word(b, _exact_integers(x), basis.order)
 
 
 @lru_cache(maxsize=None)

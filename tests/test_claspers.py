@@ -135,6 +135,13 @@ def test_probe_readout_certification():
     # the block of a non-pure braid has the wrong weight-one part
     with pytest.raises(CertificationError, match="unit coefficient"):
         read_clasp_numbers(3, _probes(parse_braid_word("s2", 3)))
+    # probes of the wrong shape are bad input, refused before any readout
+    # (an extra column would be read as a defect, the others would index
+    # past the block)
+    for shape in ((3, 3), (89,), (89, 3), (89, 5), (90, 4), (0, 4)):
+        with pytest.raises(RankError, match="not 89 by 4"):
+            read_clasp_numbers(5, np.zeros(shape, dtype=np.int64))
+    assert read_clasp_numbers(5, probe_block(5)) == ClaspVector(5, {})
 
 
 def test_clasp_vector_normalisation_and_json():
@@ -289,7 +296,7 @@ def test_comb_kernel_is_the_full_matrix(n):
     for c in combs:
         matrix = gamma_matrix(comb_clasper_braid(c, n)).matrix
         kernel = comb_kernel(c, n)
-        runs = kernel.runs
+        runs = kernel.nil
         nil = np.zeros((m, m), dtype=np.int64)
         nil[np.repeat(runs.rows, np.diff(runs.starts, append=len(runs.cols))), runs.cols] = runs.coeffs
         kept = basis.weight_range(n - c.degree + 1).start
@@ -335,6 +342,22 @@ def test_comb_powers_refuse_inputs_off_the_basis():
                 gamma.apply_power_product([(kernel, 1)], x)
             with pytest.raises(RankError, match="does not match basis size 24"):
                 comb_power_product([(CombClasper((1, 2)), 1)], 4, x)
+    # inputs must hold integers: floats would be truncated or come back as
+    # floats, so they are refused; every integer dtype is taken exactly,
+    # a uint64 past 2**63 as a Python integer
+    probes = probe_block(4)
+    for dtype in (np.float64, np.float32, np.complex128, np.str_):
+        with pytest.raises(TypeError, match="is not integer"):
+            gamma.apply_power_product([(kernel, 1)], probes.astype(dtype))
+        with pytest.raises(TypeError, match="is not integer"):
+            comb_power_product([(CombClasper((1, 2)), 1)], 4, probes.astype(dtype))
+    matrix = gamma_matrix(comb_clasper_braid(CombClasper((1, 2)), 4)).matrix.astype(object)
+    huge = probes.astype(np.uint64) * np.uint64(2**63 + 1)
+    for x in (probes.astype(bool), probes.astype(np.uint8), probes.astype(np.int32), huge):
+        expect = (matrix @ x.astype(object)).tolist()
+        for out in (gamma.apply_power_product([(kernel, 1)], x),
+                    comb_power_product([(CombClasper((1, 2)), 1)], 4, x)):
+            assert out.dtype == (object if x is huge else np.int64) and out.tolist() == expect
 
 
 def test_escalation_matches_int64(monkeypatch):

@@ -18,7 +18,7 @@ from linkhom.braids import (
 )
 from linkhom.gamma import (
     GammaMatrix,
-    GeneratorKernel,
+    SparseKernel,
     UnipotentKernel,
     _apply_kernels,
     _certified_inverse,
@@ -111,7 +111,7 @@ def test_derived_inverse_at_seven_strands():
     # both ways
     order = enumerate_basic_commutators(7).order
     plus, minus = (gamma.generator_matrix(7, 1, sign, order) for sign in (1, -1))
-    identity = np.eye(plus.runs.size, dtype=np.int64)
+    identity = np.eye(plus.size, dtype=np.int64)
     for kernels in ((plus, minus), (minus, plus)):
         assert np.array_equal(_apply_kernels(kernels, identity), identity)
 
@@ -124,7 +124,7 @@ def test_derived_inverse_cancels_its_generator_on_random_blocks(rng):
         order = enumerate_basic_commutators(n).order
         for i in range(1, n):
             plus, minus = (gamma.generator_matrix(n, i, sign, order) for sign in (1, -1))
-            m = plus.runs.size
+            m = plus.size
             blocks = [np.array([rng.randint(-99, 99) for _ in range(m)], dtype=np.int64)]
             for width in (1, 5, 12):
                 entries = [rng.randint(-99, 99) for _ in range(m * width)]
@@ -142,25 +142,25 @@ def test_inverse_certification_rejects_corrupted_generators():
     not_involution = good.copy()
     not_involution[0, 2] = 1
     with pytest.raises(CertificationError, match="raise weight"):
-        _certified_inverse(GeneratorKernel.from_dense(not_involution), basis)
+        _certified_inverse(SparseKernel.from_dense(not_involution), basis)
     # the top-weight block [[-1,-1],[1,1]] squares to 0; N is never read
     # on top-weight columns, so only the final G @ G^-1 = I sees it
     top = basis.weight_range(3).start
     singular_top = good.copy()
     singular_top[top + 1, top] = 1
     with pytest.raises(CertificationError, match="not the matrix inverse"):
-        _certified_inverse(GeneratorKernel.from_dense(singular_top), basis)
+        _certified_inverse(SparseKernel.from_dense(singular_top), basis)
     # an inverse whose certificate could wrap around in int64
     huge = good.copy()
     huge[basis.index_of(BasicCommutator((1, 2))), 0] = 2**61
     with pytest.raises(CertificationError, match="too large"):
-        _certified_inverse(GeneratorKernel.from_dense(huge), basis)
+        _certified_inverse(SparseKernel.from_dense(huge), basis)
     with pytest.raises(CertificationError):
-        GeneratorKernel.from_dense(np.eye(3, dtype=np.int64) - np.diag([0, 0, 1]))
+        SparseKernel.from_dense(np.eye(3, dtype=np.int64) - np.diag([0, 0, 1]))
     # an image two weights up is no defect: I - N inverts it exactly
     skips_weight = good.copy()
     skips_weight[basis.index_of(BasicCommutator((1, 2, 3))), 0] = 1
-    inverse = _certified_inverse(GeneratorKernel.from_dense(skips_weight), basis)
+    inverse = _certified_inverse(SparseKernel.from_dense(skips_weight), basis)
     assert np.array_equal(skips_weight @ inverse, np.eye(len(basis), dtype=np.int64))
 
 
@@ -655,39 +655,69 @@ def test_float_pairs_stop_below_two_to_the_53(n, text):
 
 
 @pytest.mark.parametrize("n, text", [(4, "s1 s3^-1 s2"), (5, "s2 s4 s1^-1 s3"),
-                                     (6, "s5 s1^-1 s3 s2")])
+                                     (6, "s5 s1^-1 s3 s2"), (5, "comb 1,3,5 ^ -3")])
 def test_only_a_later_chunk_turns_to_python_integers(monkeypatch, n, text):
     # a block of 20 columns goes 8, 8 and 4 columns at a time.  With the
     # int64 threshold lowered to 2**20, the last chunk's entries near 2**19
     # turn to Python integers and the first two chunks' 0s and 1s do not;
-    # the joined result keeps every value
-    word = parse_braid_word(text, n)
+    # the joined result keeps every value.  A comb power (I + N)^e takes
+    # the same loop as the letters, against the oracle x + e N x
     basis = enumerate_basic_commutators(n)
+    if text.startswith("comb"):
+        c, e = CombClasper((1, 3, 5)), -3
+        kernel = comb_kernel(c, n)
+        nil = gamma_matrix(comb_clasper_braid(c, n)).matrix - np.eye(len(basis), dtype=np.int64)
+        matrix = np.eye(len(basis), dtype=np.int64).astype(object) + e * nil.astype(object)
+        apply = lambda y: gamma.apply_power_product([(kernel, e)], y)
+    else:
+        word = parse_braid_word(text, n)
+        matrix = dense_chain(word, basis).astype(object)
+        apply = lambda y: gamma_apply(word, y, basis)
     draw = random.Random(n)
     x = np.array([[draw.randint(0, 1) for _ in range(20)] for _ in basis.elements],
                  dtype=np.int64)
     x[:, 16:] += 2**19
-    expect = (dense_chain(word, basis).astype(object) @ x.astype(object)).tolist()
+    expect = (matrix @ x.astype(object)).tolist()
     monkeypatch.setattr(gamma, "_INT64_SAFE", 2**20)
-    assert gamma_apply(word, x[:, :16], basis).dtype == np.int64
-    assert gamma_apply(word, x[:, 16:], basis).dtype == object
-    got = gamma_apply(word, x, basis)
+    assert apply(x[:, :16]).dtype == np.int64
+    assert apply(x[:, 16:]).dtype == object
+    got = apply(x)
     assert got.dtype == object and got.tolist() == expect
 
 
-@pytest.mark.parametrize("n", [3, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_inputs_must_match_the_basis(n):
     # the first axis needs one entry per basis element, checked before any
     # letter is applied, so also for a word that freely reduces to nothing
     basis = enumerate_basic_commutators(n)
     m = len(basis)
-    words = [BraidWord.identity(n), parse_braid_word("s1 s1^-1", n), parse_braid_word("s1 s2", n)]
+    words = [BraidWord.identity(n), parse_braid_word("s1 s1^-1", n), parse_braid_word("s1 s2", n),
+             parse_braid_word("s1 s2 s3", n) if n > 3 else parse_braid_word("s1 s2 s1", n)]
     inputs = [np.zeros(m - 1, np.int64), np.zeros(m + 1, np.int64), np.zeros((m - 1, 3), np.int64),
               np.zeros((m + 1, 20), np.int64), np.zeros((m, 2, 2), np.int64), np.int64(1)]
     for word in words:
         for x in inputs:
             with pytest.raises(RankError, match="does not match basis size"):
                 gamma_apply(word, x, basis)
+    # the entries must be integers: a float would be truncated, or come
+    # back as a float, so it is refused
+    for x in (np.full(m, 0.5), np.ones(m), np.ones((m, 3), np.float32), np.ones(m, complex),
+              np.array(["1"] * m)):
+        for word in words:
+            with pytest.raises(TypeError, match="is not integer"):
+                gamma_apply(word, x, basis)
+    # every integer dtype is taken exactly: a uint64 past 2**63 as a Python
+    # integer, and int64's least value, whose absolute value int64 lacks
+    draw = random.Random(n)
+    least = np.array([draw.choice([-2**63, 0, 1]) for _ in range(m)], dtype=np.int64)
+    inputs = [np.ones(m, bool), np.arange(m, dtype=np.uint8), np.arange(m, dtype=np.int32),
+              np.arange(2 * m, dtype=np.uint64).reshape(m, 2) + np.uint64(2**63), least]
+    for word in words:
+        matrix = dense_chain(word, basis).astype(object)
+        for x in inputs:
+            got = gamma_apply(word, x, basis)
+            assert got.dtype in (np.int64, object)
+            assert got.tolist() == (matrix @ x.astype(object)).tolist()
 
 
 def test_results_never_share_the_input():
