@@ -290,7 +290,9 @@ def apply_power_product(
     for size in {kernel.nil.size for kernel, _ in factors}:
         _check_input(x, size)
     x = _exact_integers(x)
-    steps = [(1 + abs(e) * k.nil.row_sum, k.nil, e) for k, e in reversed(factors) if e]
+    # (I + N)^e is I for e = 0 and for N = 0, where e N x overflows int64 for a huge e
+    steps = [(1 + abs(e) * k.nil.row_sum, k.nil, e)
+             for k, e in reversed(factors) if e and k.nil.row_sum]
     return _in_blocks(lambda block: _run_steps(steps, block), x)
 
 

@@ -332,6 +332,12 @@ def test_huge_comb_powers_are_exact():
     probes = probe_block(4).astype(object)
     out = comb_power_product([(c, e)], 4, probe_block(4))
     assert out.dtype == object and out.tolist() == (probes + e * (nil @ probes)).tolist()
+    # a kernel with N = 0, here of a braid that cancels, has nothing to scale either
+    basis, cancels = enumerate_basic_commutators(4), parse_braid_word("s1 s1^-1", 4)
+    identity = gamma.UnipotentKernel.of_images(lambda x: gamma_apply(cancels, x, basis), 1, basis)
+    assert identity.nil.row_sum == 0
+    out = gamma.apply_power_product([(identity, e), (identity, -e)], probe_block(4))
+    assert out.dtype == np.int64 and out.tolist() == probe_block(4).tolist()
 
 
 def test_comb_powers_refuse_inputs_off_the_basis():
