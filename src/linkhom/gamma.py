@@ -100,7 +100,8 @@ _PAIR_STRANDS = 5
 def _max_abs(a: np.ndarray) -> int:
     if a.size == 0:
         return 0
-    return int(np.abs(a).max())
+    a = np.abs(a)  # wraps int64's least value to itself, which reads right as uint64
+    return int((a.view(np.uint64) if a.dtype == np.int64 else a).max())
 
 
 def _bound(x: np.ndarray) -> int | None:
@@ -124,18 +125,16 @@ def _check_input(x: np.ndarray, size: int) -> None:
 
 
 def _exact_integers(x: np.ndarray) -> np.ndarray:
-    """``x`` as int64, or as Python integers where int64 cannot bound it: a
-    uint64 past 2**63, or int64's least value, which ``np.abs`` wraps.
-    Other dtypes are refused: truncating a float would go unnoticed."""
-    if x.dtype == object:
+    """``x`` as int64, or as Python integers where int64 cannot hold it (a
+    uint64 past 2**63).  Other dtypes are refused: truncating a float would
+    go unnoticed."""
+    if x.dtype == np.int64 or x.dtype == object:
         return x
     if x.dtype.kind not in "biu":
         raise TypeError(f"input of dtype {x.dtype} is not integer")
-    if x.dtype == np.uint64:
-        unbounded = x.size and x.max() >= 2**63
-    else:
-        unbounded = x.dtype == np.int64 and x.size and x.min() == -(2**63)
-    return x.astype(object) if unbounded else x.astype(np.int64, copy=False)
+    if x.dtype == np.uint64 and x.size and x.max() >= 2**63:
+        return x.astype(object)
+    return x.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
