@@ -15,19 +15,14 @@ clasp numbers is a fixed increment table, embedded in
 ``move_tables.json`` alongside the closure-preserving conjugation moves
 used to normalise the top degree.  The six 3-strand rows are the values
 of :func:`partial_conjugate` on unit vectors; the tests derive them
-again.  :func:`closure_equivalent` decides orbit membership in layers:
-
-* degree-1 values never move: unequal means distinct;
-* 3 strands run the same layers below, with degree 1 as the mid degree,
-  which never moves;
-* the first moving degree has constant increments, so reachability there
-  is an exact integer-lattice membership;
-* the top degree has path-dependent increments, but the changes
-  realizable while returning the lower degree to its start form a
-  computable lattice (zero-net loops of table rows plus the free
-  conjugation moves), so membership there is exact as well: outside the
-  lattice is Distinct, inside yields a witness.  Each loop enters the
-  witness in a compact form whose length does not grow with its count.
+again.  :func:`closure_equivalent` decides orbit membership degree by
+degree.  Degree-1 values never move: unequal means distinct.  Each moving
+degree then runs one layer step, an exact integer-lattice membership of
+the residual among the changes of its generators: the table rows and,
+where these cannot reach the target, the loops of the degree below.  At
+3 strands the first moving degree is degree 1, which never moves.  Each
+generator enters the witness in a compact form whose length does not
+grow with its count.
 
 There is no search, so the decision is total: Unknown means only that the
 input is out of scope (5 strands with nonzero linking numbers).
@@ -42,7 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 
 from .braids import BraidError, CertificationError
@@ -315,9 +310,38 @@ def _sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _commutator(a: int, b: int, m: int) -> list[tuple[int, int]]:
+_Steps = list[tuple[MoveRow, int]]
+
+
+def _run(v: ClaspVector, steps: _Steps) -> ClaspVector:
+    for row, m in steps:
+        v = apply_table_move(v, row, m)
+    return v
+
+
+def _commutator(a: MoveRow, b: MoveRow, m: int) -> _Steps:
     """Row steps (a, m)(b, 1)(a, -m)(b, -1)."""
     return [(a, m), (b, 1), (a, -m), (b, -1)]
+
+
+def _kernel_loop_power(loop: _Steps, c: int) -> _Steps:
+    """The kernel loop [(r, k_r)] c times: one pass [(r, c k_r)], then the
+    commutator with m = -C(c, 2) k_p k_q for each pair p < q (see
+    ``_layered_decision``)."""
+    steps = [(row, c * k) for row, k in loop]
+    for (p, kp), (q, kq) in itertools.combinations(loop, 2):
+        if m := -binomial(c, 2) * kp * kq:
+            steps += _commutator(p, q, m)
+    return steps
+
+
+def _loops(rows: tuple[MoveRow, ...], relations: list[list[int]]):
+    """Powers of the loops that return the degree of ``rows``: one per
+    relation among their changes there, then each pair's commutator."""
+    for relation in relations:
+        yield partial(_kernel_loop_power, [(row, k) for row, k in zip(rows, relation) if k])
+    for a, b in itertools.combinations(rows, 2):
+        yield partial(_commutator, a, b)
 
 
 def _certify(v1: ClaspVector, v2: ClaspVector, witness: list[Move]) -> OrbitVerdict:
@@ -342,117 +366,80 @@ def _layered_decision(
     increment, L_r the linear part of its top increment.  Within a row
     the sources are disjoint from the targets (checked by
     ``_validate_row``), so L_r D_r = 0.  This affine form is what makes
-    the layers below exact.
+    each layer exact.
 
-    The mid degree is an integer-lattice membership.  The top residual is
-    then a membership in the lattice of free moves and of loops, which
-    return the mid values to their start: kernel-combination loops
-    [(r, k_r)] with sum_r k_r D_r = 0, and commutators.  The commutator
-    (a, m)(b, 1)(a, -m)(b, -1) changes the top by m (L_b D_a - L_a D_b)
-    whatever its base point.  So a commutator loop with count c is the
-    single commutator with m = c.  A kernel loop with count c is one pass
-    [(r, c k_r)] plus corrections: the pass overshoots c repetitions by
-    (c^2 - c) sum_{p<q} k_p k_q L_q D_p, and since sum_r k_r D_r = 0 this
-    equals C(c, 2) sum_{p<q} k_p k_q (L_q D_p - L_p D_q), which is the
+    Both degrees run one layer step on a lattice of generators: changes
+    of that degree, each with its count-c power as row steps.  Outside
+    the lattice is Distinct; inside, the solution is reduced modulo the
+    lattice's relations and each count expanded into row steps, for a
+    row the step (r, c).  The mid generators are ``gen_rows``.  The top
+    ones are ``free_rows``, whose sources lie below the mid degree, and,
+    only when these cannot reach the target, each mid loop that adds a
+    new change: the kernel loop [(r, k_r)] of each relation
+    sum_r k_r D_r = 0, and the commutator of each pair of rows.  Any
+    other loop that returns the mid values with the same aggregate row
+    multipliers differs from these by commutator terms, so the top
+    membership is exact too.
+
+    The commutator (a, m)(b, 1)(a, -m)(b, -1) changes the top by
+    m (L_b D_a - L_a D_b) whatever its base point.  So a commutator loop
+    with count c is the single commutator with m = c.  A kernel loop with
+    count c is one pass [(r, c k_r)] plus corrections: the pass overshoots
+    c repetitions by (c^2 - c) sum_{p<q} k_p k_q L_q D_p, and since
+    sum_r k_r D_r = 0 this equals
+    C(c, 2) sum_{p<q} k_p k_q (L_q D_p - L_p D_q), which is the
     commutator with m = -C(c, 2) k_p k_q for each pair p < q.  This holds
     for negative c as well, and C(c, 2) is an integer.  So the witness
-    length does not depend on the counts, and ``_certify`` still replays it.
-
-    Each layer eliminates once.  The mid lattice's own relations
-    (``IntegerLattice.kernel``) give both the kernel loops and the
-    canonical mid solution.  The top degree uses one lattice: the free
-    moves first, then each loop whose change it does not yet contain.  The
-    residual is solved on it before any loop is added and, if that fails,
-    after; the solution is reduced modulo the lattice's relations, and its
-    first ``len(free_rows)`` entries are the free-move multipliers, which
-    close the witness after the loops.
+    length does not depend on the counts.  It lists the mid steps, then
+    the top powers.  Each top power returns the lower degrees, which are
+    all that the top changes read, so their order does not matter;
+    ``_certify`` replays the witness.
     """
-    n = v1.n
-    mid_seqs = _degree_seqs(n, mid_degree)
-    top_seqs = _degree_seqs(n, top_degree)
-
-    def run(v: ClaspVector, steps: list[tuple[int, int]]) -> ClaspVector:
-        for r, m in steps:
-            v = apply_table_move(v, gen_rows[r], m)
-        return v
-
-    # Mid-degree layer: constant increments, exact lattice membership.
-    mid_incs = [_increment_vector(row, mid_seqs, v1.get) for row in gen_rows]
-    mid_lattice = IntegerLattice(len(mid_seqs), mid_incs)
-    target_mid = _values(v2, mid_seqs)
-    coeffs = mid_lattice.solve(_sub(target_mid, _values(v1, mid_seqs)))
-    if coeffs is None:
-        return OrbitVerdict(
-            DISTINCT,
-            invariant=f"degree-{mid_degree} clasp numbers modulo the lattice of "
-            "partial-conjugation increments",
-        )
-    kernel = mid_lattice.kernel
-    if kernel:
-        # smaller particular solution: canonical representative mod the kernel
-        coeffs = list(IntegerLattice(len(gen_rows), kernel).canonical(coeffs))
-    path = [(r, c) for r, c in enumerate(coeffs) if c]
-    w = run(v1, path)
-    witness = [Move(gen_rows[r].table, gen_rows[r].row, c) for r, c in path]
-    if _values(w, mid_seqs) != target_mid:
-        raise CertificationError(f"degree-{mid_degree} lattice solution does not reach the target")
-
-    # One top lattice: the free moves (closure-preserving conjugations with
-    # invariant sources) first, then each loop whose change is new.
-    free_incs = [_increment_vector(row, top_seqs, v1.get) for row in free_rows]
-    top_lattice = IntegerLattice(len(top_seqs), free_incs)
-    w_top = _values(w, top_seqs)
-    delta = _sub(_values(v2, top_seqs), w_top)
-    sol = top_lattice.solve(delta)
-    loops: list[tuple[bool, list[tuple[int, int]]]] = []
-    if sol is None:
-        # Zero-net-mid loops realize exactly the lattice spanned by the
-        # simulated kernel-combination loops and the pairwise commutator
-        # loops (net A_r(D_s) - A_s(D_r)): any other loop with the same
-        # aggregate row multipliers differs from a simulated one by such
-        # commutator terms.  Membership of the top residual in this lattice
-        # (together with the free moves) therefore decides the top degree
-        # exactly.  A kernel loop may have four steps too, so each loop
-        # carries its kind.
-        candidate_loops: list[tuple[bool, list[tuple[int, int]]]] = []
-        for c in kernel:
-            candidate_loops.append((False, [(r, k) for r, k in enumerate(c) if k]))
-        for a, b in itertools.combinations(range(len(gen_rows)), 2):
-            candidate_loops.append((True, _commutator(a, b, 1)))
-        for is_commutator, steps in candidate_loops:
-            end = run(w, steps)
-            if _values(end, mid_seqs) != target_mid:
-                raise CertificationError(f"a top-degree loop moves the degree-{mid_degree} values")
-            change = _sub(_values(end, top_seqs), w_top)
-            if change not in top_lattice:
-                top_lattice.add(change)
-                loops.append((is_commutator, steps))
-        sol = top_lattice.solve(delta)
-        if sol is None:
+    layers = (
+        (mid_degree, gen_rows, "partial-conjugation increments"),
+        (top_degree, free_rows,
+         "increments realizable by partial conjugations and closure moves"),
+    )
+    w, path, below = v1, [], None
+    for degree, rows, spanned_by in layers:
+        seqs = _degree_seqs(v1.n, degree)
+        start, target = _values(w, seqs), _values(v2, seqs)
+        lattice = IntegerLattice(len(seqs), [_increment_vector(row, seqs, w.get) for row in rows])
+        delta = _sub(target, start)
+        solution = lattice.solve(delta)
+        powers = []  # of the loops that enter the lattice after the rows
+        if solution is None and below:
+            below_seqs, loops = below
+            returned = _values(w, below_seqs)
+            for power in loops:
+                end = _run(w, power(1))
+                if _values(end, below_seqs) != returned:
+                    raise CertificationError(
+                        f"a top-degree loop moves the degree-{mid_degree} values"
+                    )
+                change = _sub(_values(end, seqs), start)
+                if change not in lattice:
+                    lattice.add(change)
+                    powers.append(power)
+            solution = lattice.solve(delta)
+        if solution is None:
             return OrbitVerdict(
                 DISTINCT,
-                invariant=f"degree-{top_degree} clasp numbers modulo the lattice of "
-                "increments realizable by partial conjugations and closure moves",
+                invariant=f"degree-{degree} clasp numbers modulo the lattice of {spanned_by}",
             )
-    if top_lattice.kernel:
-        sol = list(IntegerLattice(len(sol), top_lattice.kernel).canonical(sol))
-
-    # Each loop with count c, written compactly (see the docstring), then
-    # the free moves, whose multipliers lead the solution.
-    steps: list[tuple[int, int]] = []
-    for c, (is_commutator, loop) in zip(sol[len(free_incs):], loops):
-        if not c:
-            continue
-        if is_commutator:
-            steps += _commutator(loop[0][0], loop[1][0], c)
-            continue
-        steps += [(r, c * k) for r, k in loop]
-        for (p, kp), (q, kq) in itertools.combinations(loop, 2):
-            if m := -binomial(c, 2) * kp * kq:
-                steps += _commutator(p, q, m)
-    witness += [Move(gen_rows[r].table, gen_rows[r].row, m) for r, m in steps]
-    witness += [Move(row.table, row.row, c) for row, c in zip(free_rows, sol) if c]
-    return _certify(v1, v2, witness)
+        if lattice.kernel:
+            solution = IntegerLattice(len(solution), lattice.kernel).canonical(solution)
+        steps = [(row, c) for row, c in zip(rows, solution) if c]
+        steps += [s for power, c in zip(powers, solution[len(rows):]) if c for s in power(c)]
+        path += steps
+        if degree != top_degree:  # the top degree is checked by the replay
+            w = _run(w, steps)
+            if _values(w, seqs) != target:
+                raise CertificationError(
+                    f"degree-{degree} lattice solution does not reach the target"
+                )
+            below = (seqs, _loops(rows, lattice.kernel))
+    return _certify(v1, v2, [Move(row.table, row.row, m) for row, m in path])
 
 
 def closure_equivalent(

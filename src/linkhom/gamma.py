@@ -50,12 +50,14 @@ Each sparse product, ``G x`` or ``x + e N x``, is one step of one loop
 int64 in that loop while a running bound proves it exact, and Python
 integers beyond, so all results are exact regardless of word length;
 they are int64 or Python integers, never floats.  Inputs of any integer
-or bool dtype are taken exactly; floats are refused.
+or bool dtype, or objects that are each an integer, are taken exactly;
+floats are refused.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -124,11 +126,21 @@ def _check_input(x: np.ndarray, size: int) -> None:
         raise RankError(f"input of shape {x.shape} does not match basis size {size}")
 
 
+def _index(entry: object) -> int:
+    try:
+        return operator.index(entry)
+    except TypeError:
+        raise TypeError(f"input entry {entry!r} is not integer") from None
+
+
 def _exact_integers(x: np.ndarray) -> np.ndarray:
     """``x`` as int64, or as Python integers where int64 cannot hold it (a
-    uint64 past 2**63).  Other dtypes are refused: truncating a float would
-    go unnoticed."""
-    if x.dtype == np.int64 or x.dtype == object:
+    uint64 past 2**63) or where ``x`` holds objects, each of which must be
+    an integer.  Other dtypes are refused: truncating a float would go
+    unnoticed."""
+    if x.dtype == object:
+        return np.frompyfunc(_index, 1, 1)(x)
+    if x.dtype == np.int64:
         return x
     if x.dtype.kind not in "biu":
         raise TypeError(f"input of dtype {x.dtype} is not integer")

@@ -352,11 +352,12 @@ def test_comb_powers_refuse_inputs_off_the_basis():
     # floats, so they are refused; every integer dtype is taken exactly,
     # a uint64 past 2**63 as a Python integer
     probes = probe_block(4)
-    for dtype in (np.float64, np.float32, np.complex128, np.str_):
+    refused = [probes.astype(dtype) for dtype in (np.float64, np.float32, np.complex128, np.str_)]
+    for x in refused + [np.full(probes.shape, 0.5, dtype=object)]:
         with pytest.raises(TypeError, match="is not integer"):
-            gamma.apply_power_product([(kernel, 1)], probes.astype(dtype))
+            gamma.apply_power_product([(kernel, 1)], x)
         with pytest.raises(TypeError, match="is not integer"):
-            comb_power_product([(CombClasper((1, 2)), 1)], 4, probes.astype(dtype))
+            comb_power_product([(CombClasper((1, 2)), 1)], 4, x)
     matrix = gamma_matrix(comb_clasper_braid(CombClasper((1, 2)), 4)).matrix.astype(object)
     huge = probes.astype(np.uint64) * np.uint64(2**63 + 1)
     for x in (probes.astype(bool), probes.astype(np.uint8), probes.astype(np.int32), huge):
@@ -364,6 +365,13 @@ def test_comb_powers_refuse_inputs_off_the_basis():
         for out in (gamma.apply_power_product([(kernel, 1)], x),
                     comb_power_product([(CombClasper((1, 2)), 1)], 4, x)):
             assert out.dtype == (object if x is huge else np.int64) and out.tolist() == expect
+    # an object array's numpy integers are taken as Python integers, so
+    # 2 N x past 2**63 does not wrap
+    eye = np.eye(24, dtype=np.int64).astype(object)
+    expect = (2**62 * (eye + 2 * (matrix - eye))).tolist()
+    big = np.array([[np.int64(2**62 * (i == j)) for j in range(24)] for i in range(24)], object)
+    assert gamma.apply_power_product([(kernel, 2)], big).tolist() == expect
+    assert comb_power_product([(CombClasper((1, 2)), 2)], 4, big).tolist() == expect
 
 
 def test_escalation_matches_int64(monkeypatch):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linkhom import closure
 from linkhom.braids import BraidError, CertificationError
 from linkhom.claspers import ClaspVector, enumerate_comb_claspers
 from linkhom.closure import (
@@ -15,6 +16,7 @@ from linkhom.closure import (
     EQUIVALENT,
     UNKNOWN,
     Move,
+    MoveRow,
     OrbitVerdict,
     PartialConjugation,
     apply_table_move,
@@ -27,6 +29,7 @@ from linkhom.closure import (
     _certify,
     _degree_seqs,
     _increment_vector,
+    _validate_row,
 )
 from linkhom.intlattice import IntegerLattice
 from conftest import PAST_CAP_PAIRS, past_cap_pair, random_clasp_vector
@@ -519,6 +522,53 @@ def test_certify_refuses_a_witness_that_does_not_replay():
     v = ClaspVector(4, {(1, 2): 1})
     with pytest.raises(CertificationError, match="failed to replay"):
         _certify(v, v, [Move("n4-closure-moves", 1, 1)])
+
+
+@pytest.mark.parametrize("c", [5, -3, 10**30])
+def test_commutator_loop_enters_the_witness_once(c):
+    # on these degree-2 values the top residual of the commutator of rows 1
+    # and 3 lies outside the free moves and the kernel loops, so the
+    # commutator loop carries it, with count c, as the one commutator
+    # (1, c)(3, 1)(1, -c)(3, -1): four moves whatever c
+    v1 = ClaspVector(5, {(1, 2, 5): 1, (1, 3, 5): 1, (1, 4, 5): 1, (2, 3, 4): -2})
+    moves = [Move("n5-split-generating", r, m) for r, m in ((1, c), (3, 1), (1, -c), (3, -1))]
+    v2 = replay_witness(v1, moves)
+    assert v2 != v1
+    verdict = closure_equivalent(v1, v2)
+    assert verdict.status == EQUIVALENT and verdict.witness == moves
+    assert replay_witness(v1, verdict.witness) == v2
+
+
+def test_validate_row_refusals():
+    def row(*increments):
+        return MoveRow("test", 4, 1, None, increments)
+
+    with pytest.raises(BraidError, match="not of lower degree"):
+        _validate_row(row(((1, 2, 3), (((1, 2, 4), 1),))))
+    with pytest.raises(BraidError, match="bad sign"):
+        _validate_row(row(((1, 2, 3), (((1, 2), 2),))))
+    with pytest.raises(BraidError, match="both source and target"):
+        _validate_row(row(((1, 2, 3), (((1, 2), 1),)), ((1, 2, 3, 4), (((1, 2, 3), 1),))))
+    _validate_row(row(((1, 2, 3), (((1, 2), 1),)), ((1, 2, 3, 4), (((1, 2), -1),))))
+
+
+def test_wrong_mid_increments_are_refused(monkeypatch):
+    # with only (1, 2) nonzero, row 2 alone moves degree-2 value 1.2.3; read
+    # doubled, it reaches the target of (row 2, 2) once, so the replayed
+    # path falls short and the mid certificate raises instead of a verdict
+    v1 = ClaspVector(4, {(1, 2): 1})
+    corrupted = get_row("n4-generating", 2)
+    v2 = apply_table_move(v1, corrupted, 2)
+    assert closure_equivalent(v1, v2).status == EQUIVALENT
+    real = closure._increment_vector
+
+    def doubled(row, seqs, lookup):
+        out = real(row, seqs, lookup)
+        return tuple(2 * x for x in out) if row is corrupted and seqs == _degree_seqs(4, 2) else out
+
+    monkeypatch.setattr(closure, "_increment_vector", doubled)
+    with pytest.raises(CertificationError, match="does not reach the target"):
+        closure_equivalent(v1, v2)
 
 
 def test_certificates_survive_optimized_mode():

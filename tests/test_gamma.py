@@ -702,7 +702,7 @@ def test_inputs_must_match_the_basis(n):
     # the entries must be integers: a float would be truncated, or come
     # back as a float, so it is refused
     for x in (np.full(m, 0.5), np.ones(m), np.ones((m, 3), np.float32), np.ones(m, complex),
-              np.array(["1"] * m)):
+              np.array(["1"] * m), np.full(m, 0.5, dtype=object)):
         for word in words:
             with pytest.raises(TypeError, match="is not integer"):
                 gamma_apply(word, x, basis)
@@ -718,6 +718,12 @@ def test_inputs_must_match_the_basis(n):
             got = gamma_apply(word, x, basis)
             assert got.dtype in (np.int64, object)
             assert got.tolist() == (matrix @ x.astype(object)).tolist()
+    # an object array's numpy integers are taken as Python integers, so a
+    # product past 2**63 does not wrap
+    huge = np.array([np.int64(2**62)] * m, dtype=object)
+    for word in words + [words[-1] ** 2]:
+        expect = dense_chain(word, basis).astype(object) @ np.full(m, 2**62, dtype=object)
+        assert gamma_apply(word, huge, basis).tolist() == expect.tolist()
 
 
 def test_results_never_share_the_input():
