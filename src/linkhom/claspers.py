@@ -90,6 +90,8 @@ def _check_comb_sequence(seq: tuple[int, ...]) -> None:
         raise BraidError(f"repeated strand in comb sequence {seq}")
     if seq[0] != min(seq) or seq[-1] != max(seq):
         raise BraidError(f"comb sequence {seq} must start at its minimum and end at its maximum")
+    if seq[0] < 1:
+        raise BraidError(f"comb sequence {seq} has a strand index below 1")
 
 
 @lru_cache(maxsize=None)

@@ -17,12 +17,12 @@ they can check each other:
   This is the production route: :func:`generator_matrix` builds sigma_i
   from it, derives sigma_i^-1 exactly as ``sigma_i (sigma_i^2)^-1``, and
   caches both as :class:`SparseKernel`.  :func:`gamma_apply` freely
-  reduces the word, then applies it from its last letter to a vector, or
-  to a block ``_NARROW`` columns at a time: on at most five strands two
-  letters at a time, by one float64 product with the cached dense matrix
-  of each pair, while a bound keeps every value below 2**53; on more
-  strands, and for the rest of a word once that bound fails, letter by
-  letter through the kernels;
+  reduces the word, then applies it from its last letter to a vector or a
+  block: on at most five strands the whole block takes two letters at a
+  time, by one float64 product with the cached dense matrix of each pair,
+  while a bound keeps every value below 2**53; on more strands, and for
+  the rest of a word once that bound fails, letter by letter through the
+  kernels, ``_NARROW`` columns at a time;
 * the definitional route (:func:`gamma_matrix_definitional`): act on each
   basis commutator word, then take the normal form; it is the oracle the
   tests compare the closed form against.
@@ -59,7 +59,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,10 +82,11 @@ from .reduced_free import (  # the size limit is re-exported from here
 _INT64_SAFE = 2**62
 # float64 holds every integer of absolute value up to this exactly (IEEE 754).
 _FLOAT_EXACT = 2**53
-# Every product applies a vector, or a block this many columns at a time
-# (:func:`_in_blocks`), stacked end to end so that one gather, scale and
-# run sum covers all its columns.  Per letter at n = 5, stacked against one
-# column after another: 8 against 31 us at 4 columns, 14 against 47 us at 8.
+# Every sparse product applies a vector, or a block this many columns at a
+# time (:func:`_run_steps`), stacked end to end so that one gather, scale
+# and run sum covers all its columns.  Per letter at n = 5, stacked
+# against one column after another: 8 against 31 us at 4 columns, 14
+# against 47 us at 8.
 _NARROW = 8
 # On at most this many strands a vector or block takes the letters two at
 # a time, by one float64 product with the cached dense matrix of
@@ -109,15 +110,6 @@ def _max_abs(a: np.ndarray) -> int:
 def _bound(x: np.ndarray) -> int | None:
     """``max|x|`` for int64, None for Python integers (no bound needed)."""
     return None if x.dtype == object else _max_abs(x)
-
-
-def _in_blocks(apply: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """``apply(x)`` for a vector or a block of at most ``_NARROW`` columns; a
-    wider block ``_NARROW`` columns at a time, the results joined (as Python
-    integers if any of them turned to Python integers)."""
-    if x.ndim == 1 or x.shape[1] <= _NARROW:
-        return apply(x)
-    return np.hstack([apply(x[:, k : k + _NARROW]) for k in range(0, x.shape[1], _NARROW)])
 
 
 def _check_input(x: np.ndarray, size: int) -> None:
@@ -220,22 +212,27 @@ def _kernel_steps(kernels: Sequence[SparseKernel]) -> list[tuple]:
 
 
 def _run_steps(steps: Sequence[tuple], x: np.ndarray) -> np.ndarray:
-    """``x`` after ``steps``, first to last, for a vector or a block of at
-    most ``_NARROW`` columns (exact), as a new array.
+    """``x`` after ``steps``, first to last, for a vector or a block of any
+    width (exact), as a new array.
 
     A step ``(factor, kernel, None)`` applies the kernel's matrix ``G``,
     and ``(factor, kernel, e)`` applies ``(I + N)^e = I + e N`` for the
     kernel's matrix ``N``, with ``N^2 = 0``.  ``factor`` bounds how much the
-    step can raise ``max|x|``: ``row_sum``, and ``1 + |e| row_sum``.  The
-    columns are stacked end to end, so each step is one sparse product
-    (:meth:`SparseKernel.apply`).  They stay int64 while a running bound
-    proves it safe: the last scanned ``max|x|`` times the factors of the
-    steps taken since, which bounds every result and partial sum.  When the
-    bound reaches 2**62, ``x`` is scanned again; if the bound is still that
-    large, the rest runs on Python integers.
+    step can raise ``max|x|``: ``row_sum``, and ``1 + |e| row_sum``.  A
+    block wider than ``_NARROW`` runs ``_NARROW`` columns at a time, the
+    results joined (as Python integers if any of them turned to Python
+    integers).  The columns are stacked end to end, so each step is one
+    sparse product (:meth:`SparseKernel.apply`).  They stay int64 while a
+    running bound proves it safe: the last scanned ``max|x|`` times the
+    factors of the steps taken since, which bounds every result and partial
+    sum.  When the bound reaches 2**62, ``x`` is scanned again; if the
+    bound is still that large, the rest runs on Python integers.
     """
     if not steps:  # as when letter pairs took the whole word: nothing to scan
         return x.copy()
+    if x.ndim == 2 and x.shape[1] > _NARROW:
+        return np.hstack([_run_steps(steps, x[:, k : k + _NARROW])
+                          for k in range(0, x.shape[1], _NARROW)])
     y = x.T.flatten()
     width = 1 if x.ndim == 1 else x.shape[1]
     bound = _bound(y)
@@ -304,7 +301,7 @@ def apply_power_product(
     # (I + N)^e is I for e = 0 and for N = 0, where e N x overflows int64 for a huge e
     steps = [(1 + abs(e) * k.nil.row_sum, k.nil, e)
              for k, e in reversed(factors) if e and k.nil.row_sum]
-    return _in_blocks(lambda block: _run_steps(steps, block), x)
+    return _run_steps(steps, x)
 
 
 @dataclass(frozen=True)
@@ -362,7 +359,7 @@ def _certified_inverse(plus: SparseKernel, basis: CommutatorBasis) -> np.ndarray
     check is exact.
     """
     m = len(basis)
-    nil = UnipotentKernel.of_images(lambda x: _apply_kernels((plus, plus), x), 1, basis).nil
+    nil = UnipotentKernel.of_images(partial(_run_steps, _kernel_steps((plus, plus))), 1, basis).nil
     steps = [(1 + nil.row_sum, nil, -1), (plus.row_sum, plus, None)]
     inv = np.empty((m, m), np.int64)
     for start in range(0, m, _NARROW):
@@ -396,13 +393,6 @@ def generator_matrix(n: int, i: int, sign: int, order: str, /) -> SparseKernel:
     return SparseKernel.from_dense(_certified_inverse(plus, basis))
 
 
-def _apply_kernels(kernels: Sequence[SparseKernel], x: np.ndarray) -> np.ndarray:
-    """``G_1 @ .. @ G_k @ x`` for the kernels listed last first (exact), a
-    wide block ``_NARROW`` columns at a time (see :func:`_run_steps`)."""
-    steps = _kernel_steps(kernels)
-    return _in_blocks(lambda block: _run_steps(steps, block), x)
-
-
 @dataclass(frozen=True, eq=False)
 class _DensePair:
     """``G_first @ G_second`` as a dense float64 matrix (read-only).
@@ -418,9 +408,8 @@ class _DensePair:
 @lru_cache(maxsize=None)
 def _letter_pair(n: int, first: Letter, second: Letter, order: str, /) -> _DensePair:
     """``G_first @ G_second``, the product of two letters' kernels (cached)."""
-    first_kernel = generator_matrix(n, *first, order)
-    identity = np.eye(first_kernel.size, dtype=np.int64)
-    product = _apply_kernels((generator_matrix(n, *second, order), first_kernel), identity)
+    kernels = (generator_matrix(n, *second, order), generator_matrix(n, *first, order))
+    product = _run_steps(_kernel_steps(kernels), np.eye(kernels[0].size, dtype=np.int64))
     row_sum = int(np.abs(product).sum(axis=1).max())
     if row_sum >= _FLOAT_EXACT:
         raise CertificationError("letter pair is too large for exact float64 products")
@@ -444,6 +433,8 @@ def _apply_pairs(
     odd, or the whole rest once the bound fails.  Python integers, or
     int64 past the bound, take no step.
     """
+    if len(letters) < 2:
+        return x, letters
     limit = min(_FLOAT_EXACT, _INT64_SAFE)
     bound = _bound(x)
     if bound is None or bound >= limit:
@@ -468,35 +459,34 @@ def _apply_pairs(
 def _apply_word(b: BraidWord, x: np.ndarray, order: str) -> np.ndarray:
     """``gamma(b) @ x`` from the last letter of the freely reduced word (exact).
 
-    sigma_i sigma_i^-1 = 1, so free reduction leaves gamma(b) as it is.  A
-    vector, or a block ``_NARROW`` columns at a time (:func:`_in_blocks`),
-    first takes the letters two at a time on at most ``_PAIR_STRANDS``
-    strands (:func:`_apply_pairs`); the letters left, and every letter on
-    more strands, take one step of :func:`_run_steps` each, the sparse
-    kernel of the generator.  The result is a new array, even for the
-    empty word.
+    sigma_i sigma_i^-1 = 1, so free reduction leaves gamma(b) as it is.  On
+    at most ``_PAIR_STRANDS`` strands the whole vector or block first takes
+    the letters two at a time (:func:`_apply_pairs`); the letters left, and
+    every letter on more strands, take one step of :func:`_run_steps` each,
+    the sparse kernel of the generator.  The result is a new array, even
+    for the empty word.
     """
     n = b.strands
     letters = free_reduce(reversed(b.letters))
-    if not letters:
-        return x.copy()
-
-    def apply(block: np.ndarray) -> np.ndarray:
-        rest = letters
-        if n <= _PAIR_STRANDS:
-            block, rest = _apply_pairs(n, letters, block, order)
-        kernels = [generator_matrix(n, i, sign, order) for i, sign in rest]
-        return _run_steps(_kernel_steps(kernels), block)
-
-    return _in_blocks(apply, x)
+    if n <= _PAIR_STRANDS:
+        x, letters = _apply_pairs(n, letters, x, order)
+    kernels = [generator_matrix(n, i, sign, order) for i, sign in letters]
+    return _run_steps(_kernel_steps(kernels), x)
 
 
-def gamma_matrix(b: BraidWord, basis: CommutatorBasis | None = None) -> GammaMatrix:
-    """Matrix of a braid word: product of the generator matrices in word order."""
+def _checked_basis(b: BraidWord, basis: CommutatorBasis | None) -> CommutatorBasis:
+    """``basis``, or by default the weight-lex basis on ``b``'s strands,
+    refused with :class:`RankError` unless its rank is ``b``'s strand count."""
     if basis is None:
         basis = enumerate_basic_commutators(b.strands)
     if basis.rank != b.strands:
         raise RankError(f"rank mismatch: braid {b.strands}, basis {basis.rank}")
+    return basis
+
+
+def gamma_matrix(b: BraidWord, basis: CommutatorBasis | None = None) -> GammaMatrix:
+    """Matrix of a braid word: product of the generator matrices in word order."""
+    basis = _checked_basis(b, basis)
     return GammaMatrix(basis, _apply_word(b, np.eye(len(basis), dtype=np.int64), basis.order))
 
 
@@ -506,10 +496,7 @@ def gamma_matrix_definitional(b: BraidWord, basis: CommutatorBasis | None = None
     Exponentially slower than :func:`gamma_matrix` on long words; kept as the
     independent oracle for the closed form and the homomorphism property.
     """
-    if basis is None:
-        basis = enumerate_basic_commutators(b.strands)
-    if basis.rank != b.strands:
-        raise RankError(f"rank mismatch: braid {b.strands}, basis {basis.rank}")
+    basis = _checked_basis(b, basis)
     m = len(basis)
     mat = np.zeros((m, m), dtype=np.int64)
     for c, alpha in enumerate(basis.elements):
@@ -519,8 +506,7 @@ def gamma_matrix_definitional(b: BraidWord, basis: CommutatorBasis | None = None
 
 def gamma_apply(b: BraidWord, vector: np.ndarray, basis: CommutatorBasis) -> np.ndarray:
     """gamma(b) @ vector without forming the product matrix (exact), as a new array."""
-    if basis.rank != b.strands:
-        raise RankError(f"rank mismatch: braid {b.strands}, basis {basis.rank}")
+    basis = _checked_basis(b, basis)
     x = np.asarray(vector)
     _check_input(x, len(basis))
     return _apply_word(b, _exact_integers(x), basis.order)

@@ -3,8 +3,10 @@
 A lattice is kept as a row-echelon integer basis (positive pivots in
 strictly increasing columns, entries above each pivot reduced into
 ``[0, pivot)``) together with, for each basis row, the coefficients
-expressing it over the originally supplied generators.  That recipe
-bookkeeping is what lets :meth:`IntegerLattice.solve` return an exact
+expressing it over the originally supplied generators.  Both are keyed
+by the row's pivot column (:attr:`IntegerLattice.echelon`), so an
+incoming row finds the stored row with its pivot by one lookup.  That
+recipe bookkeeping is what lets :meth:`IntegerLattice.solve` return an exact
 integer combination of the *original* generators, which downstream code
 replays as a certified move sequence.
 
@@ -26,21 +28,29 @@ from typing import Iterable, Sequence
 Vector = tuple[int, ...]
 
 
-def _pivot(row: Sequence[int]) -> int | None:
-    for j, v in enumerate(row):
-        if v:
+def _pivot(row: Sequence[int], start: int = 0) -> int | None:
+    for j in range(start, len(row)):
+        if row[j]:
             return j
     return None
 
 
+def _subtract(target: list[int], q: int, source: Sequence[int]) -> None:
+    """``target -= q * source``, in place."""
+    target[:] = [t - q * v for t, v in zip(target, source)]
+
+
 class IntegerLattice:
-    """Sublattice of Z^dim spanned by the supplied generator vectors."""
+    """Sublattice of Z^dim spanned by the supplied generator vectors.
+
+    ``echelon`` maps each pivot column to its basis row and that row's
+    recipe, in increasing pivot order.
+    """
 
     def __init__(self, dim: int, generators: Iterable[Sequence[int]] = ()) -> None:
         self.dim = dim
         self.generators = 0
-        self.rows = []
-        self.recipes = []
+        self.echelon: dict[int, tuple[list[int], list[int]]] = {}
         self.kernel = []
         for g in generators:
             self.add(g)
@@ -52,70 +62,61 @@ class IntegerLattice:
         row = [int(v) for v in vec]
         recipe = [0] * self.generators
         recipe[-1] = 1
-        for stored in self.recipes + self.kernel:
+        for stored in [r for _, r in self.echelon.values()] + self.kernel:
             stored.append(0)
-        self._reduce_in(row, recipe)
-        self._normalize()
-
-    def _reduce_in(self, row: list[int], recipe: list[int]) -> None:
-        k = 0
-        while True:
-            j = _pivot(row)
-            if j is None:
-                self.kernel.append(recipe)
-                return
-            while k < len(self.rows):
-                pj = _pivot(self.rows[k])
-                if pj is not None and pj >= j:
-                    break
-                k += 1
-            if k == len(self.rows) or _pivot(self.rows[k]) > j:
+        j = _pivot(row)
+        while j is not None:
+            if j not in self.echelon:
                 if row[j] < 0:
                     row[:] = [-v for v in row]
                     recipe[:] = [-v for v in recipe]
-                self.rows.insert(k, row)
-                self.recipes.insert(k, recipe)
-                return
+                self.echelon[j] = (row, recipe)
+                self.echelon = dict(sorted(self.echelon.items()))
+                break
             # same pivot column: one euclidean step, possibly swapping
-            other, other_recipe = self.rows[k], self.recipes[k]
+            other, other_recipe = self.echelon[j]
             q = row[j] // other[j]
-            for idx in range(self.dim):
-                row[idx] -= q * other[idx]
-            for idx in range(len(recipe)):
-                recipe[idx] -= q * other_recipe[idx]
+            _subtract(row, q, other)
+            _subtract(recipe, q, other_recipe)
             if row[j]:
-                self.rows[k], self.recipes[k] = row, recipe
+                self.echelon[j] = (row, recipe)
                 row, recipe = other, other_recipe
+            else:
+                j = _pivot(row, j + 1)
+        else:
+            self.kernel.append(recipe)
+        self._normalize()
 
     def _normalize(self) -> None:
-        for k in range(len(self.rows) - 1, -1, -1):
-            j = _pivot(self.rows[k])
-            p = self.rows[k][j]
-            for r in range(k):
-                q = self.rows[r][j] // p
+        stored = list(self.echelon.items())
+        for k in range(len(stored) - 1, -1, -1):
+            j, (row, recipe) = stored[k]
+            for _, (other, other_recipe) in stored[:k]:
+                q = other[j] // row[j]
                 if q:
-                    for idx in range(self.dim):
-                        self.rows[r][idx] -= q * self.rows[k][idx]
-                    for idx in range(len(self.recipes[r])):
-                        self.recipes[r][idx] -= q * self.recipes[k][idx]
+                    _subtract(other, q, row)
+                    _subtract(other_recipe, q, recipe)
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """The basis rows in increasing pivot order."""
+        return [row for row, _ in self.echelon.values()]
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.echelon)
 
     def reduce(self, vec: Sequence[int]) -> tuple[Vector, list[int]]:
         """Canonical coset representative and the subtracted row multiples."""
         if len(vec) != self.dim:
             raise ValueError(f"vector of length {len(vec)} in a lattice of dimension {self.dim}")
         out = [int(v) for v in vec]
-        used = [0] * len(self.rows)
-        for k, row in enumerate(self.rows):
-            j = _pivot(row)
+        used = []
+        for j, (row, _) in self.echelon.items():
             q = out[j] // row[j]
+            used.append(q)
             if q:
-                used[k] = q
-                for idx in range(self.dim):
-                    out[idx] -= q * row[idx]
+                _subtract(out, q, row)
         return tuple(out), used
 
     def canonical(self, vec: Sequence[int]) -> Vector:
@@ -130,10 +131,9 @@ class IntegerLattice:
         if any(reduced):
             return None
         coeffs = [0] * self.generators
-        for k, q in enumerate(used):
+        for q, (_, recipe) in zip(used, self.echelon.values()):
             if q:
-                for idx, r in enumerate(self.recipes[k]):
-                    coeffs[idx] += q * r
+                _subtract(coeffs, -q, recipe)
         return coeffs
 
 

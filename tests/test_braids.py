@@ -46,6 +46,12 @@ def test_parse_errors():
         parse_braid_word("a3,2", 4)
     with pytest.raises(BraidError):
         parse_braid_word("s1", 0)
+    with pytest.raises(BraidError, match="out of range for 3 strands"):
+        BraidWord(3, ((3, 1),))
+    with pytest.raises(BraidError, match="sign must be"):
+        BraidWord(3, ((1, 2),))
+    with pytest.raises(BraidError, match="not a permutation"):
+        Permutation((1, 1))
 
 
 def test_parse_unparse_round_trip(rng):
@@ -161,6 +167,10 @@ def test_delete_strand_examples():
     assert delete_strand(a13, 3).letters == ()
     with pytest.raises(BraidError):
         delete_strand(a13, 4)
+    with pytest.raises(BraidError, match="at least one strand"):
+        delete_strands(a13, [])
+    with pytest.raises(BraidError, match="not within"):
+        delete_strands(a13, [0])
 
 
 def test_delete_strand_is_homomorphism(rng):

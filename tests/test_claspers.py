@@ -38,6 +38,9 @@ def test_comb_clasper_validation():
         CombClasper((1, 3, 2))  # last entry must be the maximum
     with pytest.raises(BraidError):
         CombClasper((1, 2, 2))
+    for low in ((0, 2), (-1, 2), (0, 1, 2)):
+        with pytest.raises(BraidError, match="below 1"):
+            CombClasper(low)
     assert CombClasper((1, 3, 2, 4)).degree == 3
 
 
@@ -153,6 +156,16 @@ def test_clasp_vector_normalisation_and_json():
         ClaspVector(2, {(1, 3): 1})
     with pytest.raises(BraidError):
         ClaspVector.from_json({"n": 2, "nu": {"vegetable": 1}})
+    # strand indices start at 1
+    for nu in ({"0.2": 1}, {"1.2": 1, "0.2": 1}, {"-1.2": 5}):
+        with pytest.raises(BraidError, match="below 1"):
+            ClaspVector.from_json({"n": 3, "nu": nu})
+    with pytest.raises(BraidError, match="below 1"):
+        ClaspVector(3, {(0, 2): 1})
+    with pytest.raises(BraidError, match="strand count must be positive"):
+        ClaspVector(0, {})
+    with pytest.raises(BraidError, match="unsupported clasper order"):
+        ClaspVector(3, {}, "lex")
 
 
 def test_build_zero_and_power():

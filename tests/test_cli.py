@@ -410,6 +410,16 @@ def test_data_errors(capsys, tmp_path):
     v6.write_text(json.dumps({"n": 6, "nu": {}}))
     assert run(capsys, "closure-eq", str(v6), str(v6))[0] == 65
     assert run(capsys, "pc", str(v3), "-i", "1", "-j", "7")[0] == 65
+    # strand indices below 1 are refused by every command that reads a vector
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"n": 3, "nu": {"1.2": 1}}))
+    for nu in ({"1.2": 1, "0.2": 1}, {"-1.2": 5}):
+        bad.write_text(json.dumps({"n": 3, "nu": nu}))
+        for argv in (("build", str(bad)), ("pc", str(bad), "-i", "1", "-j", "2"),
+                     ("closure-eq", str(bad), str(one))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (65, "")
+            assert err.count("\n") == 1 and "below 1" in err
 
 
 def test_deterministic_output(capsys):

@@ -20,9 +20,10 @@ from linkhom.gamma import (
     GammaMatrix,
     SparseKernel,
     UnipotentKernel,
-    _apply_kernels,
     _certified_inverse,
+    _kernel_steps,
     _max_abs,
+    _run_steps,
     braid_equal_lh,
     closed_form_generator_matrix,
     gamma_apply,
@@ -113,7 +114,7 @@ def test_derived_inverse_at_seven_strands():
     plus, minus = (gamma.generator_matrix(7, 1, sign, order) for sign in (1, -1))
     identity = np.eye(plus.size, dtype=np.int64)
     for kernels in ((plus, minus), (minus, plus)):
-        assert np.array_equal(_apply_kernels(kernels, identity), identity)
+        assert np.array_equal(_run_steps(_kernel_steps(kernels), identity), identity)
 
 
 def test_derived_inverse_cancels_its_generator_on_random_blocks(rng):
@@ -130,8 +131,8 @@ def test_derived_inverse_cancels_its_generator_on_random_blocks(rng):
                 entries = [rng.randint(-99, 99) for _ in range(m * width)]
                 blocks.append(np.array(entries, dtype=np.int64).reshape(m, width))
             for x in blocks:
-                assert np.array_equal(_apply_kernels((plus, minus), x), x)
-                assert np.array_equal(_apply_kernels((minus, plus), x), x)
+                assert np.array_equal(_run_steps(_kernel_steps((plus, minus)), x), x)
+                assert np.array_equal(_run_steps(_kernel_steps((minus, plus)), x), x)
 
 
 def test_inverse_certification_rejects_corrupted_generators():
@@ -683,6 +684,44 @@ def test_only_a_later_chunk_turns_to_python_integers(monkeypatch, n, text):
     assert apply(x[:, 16:]).dtype == object
     got = apply(x)
     assert got.dtype == object and got.tolist() == expect
+
+
+@pytest.mark.parametrize("n, text", [(4, "s1 s2^-1 s3 s1 s2 s3^-1"),
+                                     (5, "s1 s2 s4^-1 s3 s2 s1^-1")])
+def test_letter_pairs_take_the_whole_block(monkeypatch, n, text):
+    # the 16 small columns alone take every pair in float64; the 4 columns
+    # near 2**51 end the pairs for the whole block before the word is done,
+    # and the kernels take the letters left exactly
+    word = parse_braid_word(text, n)
+    basis = enumerate_basic_commutators(n)
+    draw = random.Random(n)
+    x = np.array([[draw.randint(-9, 9) for _ in range(20)] for _ in basis.elements],
+                 dtype=np.int64)
+    x[:, 16:] = [[2**51 - draw.randint(0, 2**20) for _ in range(4)] for _ in basis.elements]
+    expect = (dense_chain(word, basis).astype(object) @ x.astype(object)).tolist()
+    left = []
+    pairs = gamma._apply_pairs
+
+    def spy(*args):
+        y, rest = pairs(*args)
+        left.append(len(rest))
+        return y, rest
+
+    monkeypatch.setattr(gamma, "_apply_pairs", spy)
+    for block in (x, x[:, :16]):
+        got = gamma_apply(word, block, basis)
+        assert got.dtype == np.int64
+        assert got.tolist() == [row[: block.shape[1]] for row in expect]
+    assert left[0] > 0 and left[1] == 0
+
+
+def test_basis_of_another_rank_is_refused():
+    word = parse_braid_word("s1 s2", 3)
+    basis = enumerate_basic_commutators(4)
+    for apply in (gamma_matrix, gamma_matrix_definitional,
+                  lambda b, basis: gamma_apply(b, np.zeros(len(basis), np.int64), basis)):
+        with pytest.raises(RankError, match="rank mismatch: braid 3, basis 4"):
+            apply(word, basis)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -57,6 +57,16 @@ def test_canonical_is_coset_invariant():
         assert same == diff_in
 
 
+def test_vectors_of_another_length_are_refused():
+    lat = IntegerLattice(2, [(2, 0)])
+    for vec in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="in a lattice of dimension 2"):
+            lat.add(vec)
+        with pytest.raises(ValueError, match="in a lattice of dimension 2"):
+            lat.reduce(vec)
+    assert lat.generators == 1 and lat.rows == [[2, 0]]
+
+
 def test_kernel_basis():
     rows = [(1, 0), (0, 1), (1, 1)]
     kernel = kernel_basis(rows, 2)

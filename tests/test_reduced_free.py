@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from linkhom.braids import BraidWord, compose
 from linkhom.reduced_free import (
     BasicCommutator,
+    ExponentVector,
     ORDER_TAGS,
     MagnusSeries,
     RankError,
@@ -225,6 +226,8 @@ def test_basic_commutator_validation():
         BasicCommutator((2, 1))
     with pytest.raises(RankError):
         BasicCommutator((1, 2, 2))
+    with pytest.raises(RankError, match="unknown basis order"):
+        enumerate_basic_commutators(3, "lex")
 
 
 def test_weight_revlex_order():
@@ -252,6 +255,8 @@ def test_normal_form_reversed_word():
 def test_normal_form_rank_mismatch():
     with pytest.raises(RankError):
         rfg_normal_form(x(2, 1), enumerate_basic_commutators(3))
+    with pytest.raises(RankError, match="does not match basis size"):
+        ExponentVector(enumerate_basic_commutators(3), (0,) * 7)
 
 
 def test_normal_form_round_trip(rng):
