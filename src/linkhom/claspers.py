@@ -20,12 +20,14 @@ matrix of the braid with every strand outside S forgotten.  So column
 clasp number of exact support S once the lower degrees are gone.  After
 each degree its ordered comb product is divided out on the left, by
 applying the comb powers with negated exponents to the probes through
-cached comb kernels (:func:`comb_kernel`, each ``N`` one
-:class:`linkhom.gamma.SparseKernel`), each power ``I + e N`` one step of
-the loop that applies every sparse product in :mod:`linkhom.gamma`; no
-strand is deleted and no braid word is built.  The
-word-level route (strand deletion and a residual word) is kept in the
-tests as the oracle.
+cached comb kernels, each power ``I + e N`` one step of the loop that
+applies sparse kernels to vectors in :mod:`linkhom.gamma`; no strand is
+deleted and no braid word is built.  Each comb kernel ``N`` is one
+:class:`linkhom.gamma.SparseKernel`, built by the exact sparse product
+of kernels there: :func:`comb_kernel` only names the factors, the
+generator kernels of the word of ``A_{i,m}`` at degree 1 and the
+commutator of two lower kernels above.  The word-level route (strand
+deletion and a residual word) is kept in the tests as the oracle.
 
 Only the functions that work on matrices (comb kernels, comb powers and
 the probe readout) import :mod:`linkhom.gamma`, and numpy with it, and
@@ -234,22 +236,26 @@ def clasp_vector_to_braid(v: ClaspVector) -> BraidWord:
 def comb_kernel(c: CombClasper, n: int) -> UnipotentKernel:
     """gamma of the comb braid as ``I + N``, ``N^2 = 0``, kept as ``N`` (cached).
 
-    Degree 1 is read off the word of ``A_{i,m}``.  A comb ``(i_1,..,i_l)``
-    of higher degree is the commutator ``[p, a]`` of its parent comb ``p =
-    (i_1,..,i_{l-2}, i_l)`` and ``a = A_{i_{l-1}, i_l}``
-    (:func:`comb_clasper_braid`), so it is built from their kernels as
-    ``p a p^-1 a^-1``.
+    ``N`` is named here as a signed sum of products of sparse kernels, and
+    :meth:`linkhom.gamma.UnipotentKernel.of_terms` computes and certifies
+    it.  At degree 1, ``I + N`` is the product of the generator kernels of
+    the word of ``A_{i,m}``.  A comb ``(i_1,..,i_l)`` of higher degree is
+    the commutator ``[p, a]`` of its parent comb ``p = (i_1,..,i_{l-2},
+    i_l)`` and ``a = A_{i_{l-1}, i_l}`` (:func:`comb_clasper_braid`).  With
+    ``P^2 = A^2 = 0`` for their kernels, ``(I + P)(I + A)(I - P)(I - A) -
+    I`` expands exactly to ``PA - AP - PAP + APA + PAPA``.
     """
-    from .gamma import UnipotentKernel, apply_power_product, gamma_apply
+    from .gamma import UnipotentKernel, generator_matrix
 
     basis = enumerate_basic_commutators(n)
     seq = c.sequence
     if c.degree == 1:
         word = comb_clasper_braid(c, n)
-        return UnipotentKernel.of_images(lambda x: gamma_apply(word, x, basis), 1, basis)
-    parent, loop = (comb_kernel(CombClasper(s), n) for s in (seq[:-2] + seq[-1:], seq[-2:]))
-    factors = [(parent, 1), (loop, 1), (parent, -1), (loop, -1)]
-    return UnipotentKernel.of_images(lambda x: apply_power_product(factors, x), c.degree, basis)
+        chain = tuple(generator_matrix(n, i, sign, basis.order) for i, sign in word.letters)
+        return UnipotentKernel.of_terms([(1, chain), (-1, ())], 1, basis)
+    p, a = (comb_kernel(CombClasper(s), n).nil for s in (seq[:-2] + seq[-1:], seq[-2:]))
+    terms = [(1, (p, a)), (-1, (a, p)), (-1, (p, a, p)), (1, (a, p, a)), (1, (p, a, p, a))]
+    return UnipotentKernel.of_terms(terms, c.degree, basis)
 
 
 def comb_power_product(factors: list[tuple[CombClasper, int]], n: int, x: np.ndarray) -> np.ndarray:

@@ -15,14 +15,15 @@ they can check each other:
   split on where i and i+1 sit inside the index sequence, including the
   signed sum over reversed subsequences when i leads and i+1 follows.
   This is the production route: :func:`generator_matrix` builds sigma_i
-  from it, derives sigma_i^-1 exactly as ``sigma_i (sigma_i^2)^-1``, and
-  caches both as :class:`SparseKernel`.  :func:`gamma_apply` freely
-  reduces the word, then applies it from its last letter to a vector or a
-  block: on at most five strands the whole block takes two letters at a
-  time, by one float64 product with the cached dense matrix of each pair,
-  while a bound keeps every value below 2**53; on more strands, and for
-  the rest of a word once that bound fails, letter by letter through the
-  kernels, ``_NARROW`` columns at a time;
+  from it, derives sigma_i^-1 exactly as ``sigma_i (sigma_i^2)^-1 = 2
+  sigma_i - sigma_i^3``, and caches both as :class:`SparseKernel`.
+  :func:`gamma_apply` freely reduces the word, then applies it from its
+  last letter to a vector or a block: on at most five strands the whole
+  block takes two letters at a time, by one float64 product with the
+  cached dense matrix of each pair, while a bound keeps every value below
+  2**53; on more strands, and for the rest of a word once that bound
+  fails, letter by letter through the kernels, ``_NARROW`` columns at a
+  time;
 * the definitional route (:func:`gamma_matrix_definitional`): act on each
   basis commutator word, then take the normal form; it is the oracle the
   tests compare the closed form against.
@@ -45,22 +46,31 @@ A_{i,i+1}``, a second ``N`` repeats a strand, which vanishes in RF_n; so
 ``N^2 = 0`` and a power ``I + e N`` is one sparse product, and exponent
 -1 gives the inverse.
 
-Each sparse product, ``G x`` or ``x + e N x``, is one step of one loop
-(:func:`_run_steps`).  Arithmetic is float64 on the letter pairs and
-int64 in that loop while a running bound proves it exact, and Python
-integers beyond, so all results are exact regardless of word length;
-they are int64 or Python integers, never floats.  Inputs of any integer
-or bool dtype, or objects that are each an integer, are taken exactly;
-floats are refused.
+Every cached matrix is built by one exact sparse product of kernels
+(:func:`_sparse_product`): a signed sum of products of
+:class:`SparseKernel`, summed in int64 under one row-sum bound and
+refused past it, with no identity block pushed through any loop.  It
+gives sigma_i^-1, each comb kernel ``N``, whose factors
+:func:`linkhom.claspers.comb_kernel` names, and each letter pair; it
+also certifies sigma_i^-1 by ``sigma_i sigma_i^-1 = I``.
+
+A caller's vector or block takes each sparse step, ``G x`` or ``x + e N
+x``, in one loop (:func:`_run_steps`).  Arithmetic is float64 on the
+letter pairs and int64 in that loop while a running bound proves it
+exact, and Python integers beyond, so all results are exact regardless
+of word length; they are int64 or Python integers, never floats.
+Inputs of any integer or bool dtype, or objects that are each an
+integer, are taken exactly; floats are refused.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -82,8 +92,8 @@ from .reduced_free import (  # the size limit is re-exported from here
 _INT64_SAFE = 2**62
 # float64 holds every integer of absolute value up to this exactly (IEEE 754).
 _FLOAT_EXACT = 2**53
-# Every sparse product applies a vector, or a block this many columns at a
-# time (:func:`_run_steps`), stacked end to end so that one gather, scale
+# The step loop (:func:`_run_steps`) applies a vector, or a block this many
+# columns at a time, stacked end to end so that one gather, scale
 # and run sum covers all its columns.  Per letter at n = 5, stacked
 # against one column after another: 8 against 31 us at 4 columns, 14
 # against 47 us at 8.
@@ -206,6 +216,74 @@ class SparseKernel:
         return out
 
 
+def _join(
+    rows: np.ndarray, cols: np.ndarray, coeffs: np.ndarray, right: SparseKernel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of ``L @ M``, unsummed, for ``L`` given by its entries: each
+    entry meets the run of ``M``'s row at its column."""
+    at = np.searchsorted(right.rows, cols)
+    hit = at < len(right.rows)
+    hit[hit] = right.rows[at[hit]] == cols[hit]  # M has a nonzero row there
+    rows, coeffs, at = rows[hit], coeffs[hit], at[hit]
+    starts = right.starts[at]
+    lengths = np.append(right.starts[1:], len(right.cols))[at] - starts
+    # the joined terms of one entry read its run from the start, in turn
+    picks = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    coeffs = np.repeat(coeffs, lengths) * right.coeffs[picks]
+    return np.repeat(rows, lengths), right.cols[picks], coeffs
+
+
+def _summed(
+    size: int, rows: np.ndarray, cols: np.ndarray, coeffs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries with equal row and column summed, zeros dropped, row by row."""
+    if not len(rows):
+        return rows, cols, coeffs
+    keys = rows * size + cols
+    order = np.argsort(keys)
+    keys, coeffs = keys[order], coeffs[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(coeffs, first)
+    kept = sums != 0
+    keys = keys[first][kept]
+    return keys // size, keys % size, sums[kept]
+
+
+def _sparse_product(
+    terms: Sequence[tuple[int, Sequence[SparseKernel]]], size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sum c M_1 .. M_k`` over the terms ``(c, (M_1, .., M_k))`` (exact), as
+    its nonzero entries listed row by row: rows, columns and coefficients.
+
+    The empty product is ``I``.  Each product starts at its first factor's
+    entries and joins the column of each entry with the next factor's row
+    runs; equal entries are summed after each join.  A product's largest
+    absolute row sum is at most the product of its factors' ``row_sum``, so
+    ``sum |c| prod row_sum`` bounds every entry and partial sum.  The sums
+    run in int64 below ``_INT64_SAFE`` and raise
+    :class:`CertificationError` at or past it: no identity block, no float
+    and no Python integer.
+    """
+    scales = [abs(c) * math.prod(kernel.row_sum for kernel in chain) for c, chain in terms]
+    if sum(scales) >= _INT64_SAFE:
+        raise CertificationError("sparse product is too large to sum exactly in int64")
+    identity = np.arange(size)
+    parts = [(identity[:0], identity[:0], identity[:0])]
+    for (c, chain), scale in zip(terms, scales):
+        if not scale:  # c = 0 or a zero factor: nothing to add
+            continue
+        if chain:
+            first = chain[0]
+            rows = np.repeat(first.rows, np.diff(np.append(first.starts, len(first.cols))))
+            cols, coeffs = first.cols, first.coeffs
+        else:
+            rows, cols, coeffs = identity, identity, np.ones(size, np.int64)
+        for kernel in chain[1:]:
+            rows, cols, coeffs = _summed(size, *_join(rows, cols, coeffs, kernel))
+        parts.append((rows, cols, c * coeffs))
+    return _summed(size, *(np.concatenate(a) for a in zip(*parts)))
+
+
 def _kernel_steps(kernels: Sequence[SparseKernel]) -> list[tuple]:
     """The steps of :func:`_run_steps` that apply the kernels' matrices in turn."""
     return [(kernel.row_sum, kernel, None) for kernel in kernels]
@@ -252,6 +330,15 @@ def _run_steps(steps: Sequence[tuple], x: np.ndarray) -> np.ndarray:
     return y.reshape(x.shape[::-1]).T
 
 
+@lru_cache(maxsize=None)
+def _weights(n: int) -> np.ndarray:
+    """The weight of each basis element on n strands, ascending in every
+    basis order (read-only)."""
+    weights = np.array([alpha.weight for alpha in enumerate_basic_commutators(n).elements])
+    weights.flags.writeable = False
+    return weights
+
+
 @dataclass(frozen=True, eq=False)
 class UnipotentKernel:
     """``gamma(b) = I + N`` for a braid ``b`` whose ``N`` raises weight by ``reach``.
@@ -259,34 +346,39 @@ class UnipotentKernel:
     A braid in the d-th lower central series term of the pure braid group
     sends each generator of RF_n to itself times commutators of weight at
     least d + 1, so ``N`` sends weight w to weights w + d and up; a comb
-    braid of degree d is such a braid.  Only the columns of weight at most
-    ``n - reach`` can be nonzero, so only those are computed, and each of
-    their entries is checked to raise weight by ``reach``.  No nonzero row
-    of ``N`` may index a nonzero column, which certifies ``N^2 = 0`` once
-    for every power, so ``(I + N)^e = I + e N`` is one step of
-    :func:`_run_steps`.  ``N`` is kept as the sparse kernel ``nil``.
+    braid of degree d is such a braid.  ``N`` is given as a signed sum of
+    products of sparse kernels and computed by :func:`_sparse_product`.
+    Only the columns of weight at most ``n - reach`` can be nonzero, so
+    only those are kept, and each of their entries is checked to raise
+    weight by ``reach``.  No nonzero row of ``N`` may index a nonzero
+    column, which certifies ``N^2 = 0`` once for every power, so ``(I +
+    N)^e = I + e N`` is one step of :func:`_run_steps`.  ``N`` is kept as
+    the sparse kernel ``nil``.
     """
 
     nil: SparseKernel
 
     @classmethod
-    def of_images(cls, images: Callable, reach: int, basis: CommutatorBasis) -> UnipotentKernel:
-        """From ``images(x) = (I + N) @ x``, read on the basis columns it needs."""
+    def of_terms(
+        cls, terms: Sequence[tuple[int, Sequence[SparseKernel]]], reach: int, basis: CommutatorBasis
+    ) -> UnipotentKernel:
+        """From ``N = sum c M_1 .. M_k`` over ``terms`` (:func:`_sparse_product`),
+        kept on the basis columns it needs."""
         n, m = basis.rank, len(basis)
         if not 1 <= reach < n:
             raise BraidError(f"weight reach {reach} out of range for {n} strands")
-        width = basis.weight_range(n - reach + 1).start
-        weights = np.array([alpha.weight for alpha in basis.elements])
-        identity = np.eye(m, width, dtype=np.int64)
-        nil = images(identity) - identity
-        rows, cols = np.nonzero(nil)
+        weights = _weights(n)
+        width = int(np.searchsorted(weights, n - reach, side="right"))
+        rows, cols, coeffs = _sparse_product(terms, m)
+        kept = cols < width
+        rows, cols, coeffs = rows[kept], cols[kept], coeffs[kept]
         if (weights[rows] < weights[cols] + reach).any():
             raise CertificationError(f"gamma(b) - I does not raise weight by {reach}")
         nonzero_cols = np.zeros(m, dtype=bool)
         nonzero_cols[cols] = True
         if nonzero_cols[rows].any():
             raise CertificationError("gamma(b) - I does not square to zero")
-        return cls(SparseKernel.of_entries(m, rows, cols, nil[rows, cols]))
+        return cls(SparseKernel.of_entries(m, rows, cols, coeffs))
 
 
 def apply_power_product(
@@ -347,30 +439,23 @@ def _definitional_column(b: BraidWord, alpha: BasicCommutator, basis: Commutator
     return list(rfg_normal_form(image, basis).values)
 
 
-def _certified_inverse(plus: SparseKernel, basis: CommutatorBasis) -> np.ndarray:
-    """Exact inverse of a generator matrix ``G``, as ``G (G^2)^-1``.
+def _certified_inverse(plus: SparseKernel, basis: CommutatorBasis) -> SparseKernel:
+    """Exact inverse of a generator matrix ``G``, as ``G (G^2)^-1 = 2G - G^3``.
 
     ``sigma_i^2 = A_{i,i+1}`` is a pure braid, so ``G^2 = I + N`` with ``N``
-    raising weight and squaring to zero (checked by
-    :meth:`UnipotentKernel.of_images`), and ``(G^2)^-1 = I - N``.  Each
-    block of ``_NARROW`` identity columns takes ``I - N`` and then ``G`` in
-    one pass of :func:`_run_steps`.  The result is certified by ``G @ G^-1
-    = I``, computed where the row-sum bound shows int64 cannot wrap, so the
-    check is exact.
+    raising weight and squaring to zero (both checked by
+    :meth:`UnipotentKernel.of_terms`), and ``(G^2)^-1 = I - N``.  So ``G^-1
+    = G - G N``, one sparse product (:func:`_sparse_product`), certified
+    by another: ``G G^-1 - I`` must have no entry.  Both run in int64 under
+    the product's bound, so the check is exact, and a generator too large
+    for it raises :class:`CertificationError`.
     """
     m = len(basis)
-    nil = UnipotentKernel.of_images(partial(_run_steps, _kernel_steps((plus, plus))), 1, basis).nil
-    steps = [(1 + nil.row_sum, nil, -1), (plus.row_sum, plus, None)]
-    inv = np.empty((m, m), np.int64)
-    for start in range(0, m, _NARROW):
-        identity = np.eye(m, min(_NARROW, m - start), -start, np.int64)
-        block = _run_steps(steps, identity)
-        if _max_abs(block) * plus.row_sum >= _INT64_SAFE:
-            raise CertificationError("derived inverse is too large to certify in int64")
-        inv[:, start : start + _NARROW] = block
-        if not np.array_equal(_run_steps(steps[1:], block), identity):
-            raise CertificationError("derived inverse is not the matrix inverse")
-    return inv
+    nil = UnipotentKernel.of_terms([(1, (plus, plus)), (-1, ())], 1, basis).nil
+    inverse = SparseKernel.of_entries(m, *_sparse_product([(1, (plus,)), (-1, (plus, nil))], m))
+    if len(_sparse_product([(1, (plus, inverse)), (-1, ())], m)[0]):
+        raise CertificationError("derived inverse is not the matrix inverse")
+    return inverse
 
 
 @lru_cache(maxsize=None)
@@ -378,9 +463,9 @@ def generator_matrix(n: int, i: int, sign: int, order: str, /) -> SparseKernel:
     """Kernel of sigma_i^{sign} on n strands (cached).
 
     sigma_i comes from the closed form; sigma_i^-1 is derived from its
-    kernel exactly and certified (:func:`_certified_inverse`).  Every
-    argument is positional and required, so each kernel has one cache key
-    and is built once.
+    kernel by exact sparse products and certified
+    (:func:`_certified_inverse`).  Every argument is positional and
+    required, so each kernel has one cache key and is built once.
     """
     if not 1 <= i <= n - 1:
         raise BraidError(f"generator index {i} out of range for {n} strands")
@@ -388,9 +473,8 @@ def generator_matrix(n: int, i: int, sign: int, order: str, /) -> SparseKernel:
         return SparseKernel.from_dense(closed_form_generator_matrix(n, i, order))
     if sign != -1:
         raise BraidError(f"generator exponent must be 1 or -1, got {sign}")
-    plus = generator_matrix(n, i, 1, order)
     basis = enumerate_basic_commutators(n, order)
-    return SparseKernel.from_dense(_certified_inverse(plus, basis))
+    return _certified_inverse(generator_matrix(n, i, 1, order), basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,9 +491,18 @@ class _DensePair:
 
 @lru_cache(maxsize=None)
 def _letter_pair(n: int, first: Letter, second: Letter, order: str, /) -> _DensePair:
-    """``G_first @ G_second``, the product of two letters' kernels (cached)."""
-    kernels = (generator_matrix(n, *second, order), generator_matrix(n, *first, order))
-    product = _run_steps(_kernel_steps(kernels), np.eye(kernels[0].size, dtype=np.int64))
+    """``G_first @ G_second``, the product of two letters' kernels (cached).
+
+    It is one sparse product (:func:`_sparse_product`), densified in
+    column-major order, which BLAS takes without a transpose (about 10%
+    faster per product on blocks of 3 to 8 columns at n = 4 and 5); its
+    row sum is taken on the integers, before the float64 copy.
+    """
+    chain = (generator_matrix(n, *first, order), generator_matrix(n, *second, order))
+    m = chain[0].size
+    rows, cols, coeffs = _sparse_product([(1, chain)], m)
+    product = np.zeros((m, m), np.int64, order="F")
+    product[rows, cols] = coeffs
     row_sum = int(np.abs(product).sum(axis=1).max())
     if row_sum >= _FLOAT_EXACT:
         raise CertificationError("letter pair is too large for exact float64 products")
@@ -597,7 +690,6 @@ def gamma_generator_closed_form(
             BasicCommutator(head + (i + 1, i) + tail): -1,
         }
 
-    assert pos_i is not None and pos_i1 is not None
     if pos_i1 < pos_i or pos_i > 0:  # (f) and (e): swap i and i+1
         swapped = list(seq)
         swapped[pos_i], swapped[pos_i1] = i + 1, i

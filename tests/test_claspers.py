@@ -320,6 +320,29 @@ def test_comb_kernel_is_the_full_matrix(n):
             assert np.array_equal(comb_power_product([(c, 1)], n, eye), matrix)
 
 
+def test_comb_kernels_at_seven_strands():
+    # all 540 kernels build, so both certificates passed; they are checked
+    # again here on the kept entries.  The first comb of each degree, as a
+    # unit power on the probe block, matches its braid word applied letter
+    # by letter
+    n = 7
+    basis = enumerate_basic_commutators(n)
+    weights = np.array([alpha.weight for alpha in basis.elements])
+    combs = enumerate_comb_claspers(n)
+    assert len(combs) == 540
+    for c in combs:
+        runs = comb_kernel(c, n).nil
+        rows = np.repeat(runs.rows, np.diff(runs.starts, append=len(runs.cols)))
+        assert runs.cols.size and (weights[rows] >= weights[runs.cols] + c.degree).all()
+        assert weights[runs.cols].max() <= n - c.degree
+        assert not np.isin(rows, runs.cols).any()
+    probes = probe_block(n)
+    for degree in range(1, n):
+        c = next(c for c in combs if c.degree == degree)
+        expect = gamma_apply(comb_clasper_braid(c, n), probes, basis)
+        assert np.array_equal(comb_power_product([(c, 1)], n, probes), expect)
+
+
 def test_comb_power_is_the_product_of_unit_powers(rng):
     # (I + N)^e = I + e N: the power with exponent e is e unit steps
     for n in (3, 4, 5):
@@ -346,8 +369,9 @@ def test_huge_comb_powers_are_exact():
     out = comb_power_product([(c, e)], 4, probe_block(4))
     assert out.dtype == object and out.tolist() == (probes + e * (nil @ probes)).tolist()
     # a kernel with N = 0, here of a braid that cancels, has nothing to scale either
-    basis, cancels = enumerate_basic_commutators(4), parse_braid_word("s1 s1^-1", 4)
-    identity = gamma.UnipotentKernel.of_images(lambda x: gamma_apply(cancels, x, basis), 1, basis)
+    basis = enumerate_basic_commutators(4)
+    cancels = [gamma.generator_matrix(4, 1, sign, basis.order) for sign in (1, -1)]
+    identity = gamma.UnipotentKernel.of_terms([(1, cancels), (-1, ())], 1, basis)
     assert identity.nil.row_sum == 0
     out = gamma.apply_power_product([(identity, e), (identity, -e)], probe_block(4))
     assert out.dtype == np.int64 and out.tolist() == probe_block(4).tolist()

@@ -1,3 +1,4 @@
+import math
 import random
 from unittest import mock
 
@@ -24,6 +25,7 @@ from linkhom.gamma import (
     _kernel_steps,
     _max_abs,
     _run_steps,
+    _sparse_product,
     braid_equal_lh,
     closed_form_generator_matrix,
     gamma_apply,
@@ -162,6 +164,7 @@ def test_inverse_certification_rejects_corrupted_generators():
     skips_weight = good.copy()
     skips_weight[basis.index_of(BasicCommutator((1, 2, 3))), 0] = 1
     inverse = _certified_inverse(SparseKernel.from_dense(skips_weight), basis)
+    inverse = _run_steps(_kernel_steps([inverse]), np.eye(len(basis), dtype=np.int64))
     assert np.array_equal(skips_weight @ inverse, np.eye(len(basis), dtype=np.int64))
 
 
@@ -170,8 +173,79 @@ def test_unipotent_kernels_must_square_to_zero():
     # their N is a sum of two comb kernels with a nonzero product
     for text, n in (("a1,2 a2,3", 3), ("a1,2 a3,4", 4)):
         word, basis = parse_braid_word(text, n), enumerate_basic_commutators(n)
+        chain = [gamma.generator_matrix(n, i, sign, basis.order) for i, sign in word.letters]
         with pytest.raises(CertificationError, match="does not square to zero"):
-            UnipotentKernel.of_images(lambda x: gamma_apply(word, x, basis), 1, basis)
+            UnipotentKernel.of_terms([(1, chain), (-1, ())], 1, basis)
+
+
+def _kernel_of(m):
+    return SparseKernel.of_entries(len(m), *np.nonzero(m), m[np.nonzero(m)])
+
+
+def _dense_product(terms, size):
+    """The object-dtype oracle of :func:`_sparse_product`: sum c M_1 .. M_k."""
+    out = np.zeros((size, size), dtype=object)
+    for c, chain in terms:
+        product = np.eye(size, dtype=np.int64).astype(object)
+        for matrix in chain:
+            product = product @ matrix.astype(object)
+        out = out + c * product
+    return out
+
+
+@st.composite
+def product_terms(draw):
+    """One to three signed chains of zero to four sparse integer matrices of
+    one size, with small entries or entries up to 2**33, whose products may
+    pass 2**62."""
+    size = draw(st.integers(1, 5))
+    entry = st.sampled_from((0, 0, 0, 1, -1)) | st.integers(-3, 3) | st.integers(-2**33, 2**33)
+    matrix = st.lists(entry, min_size=size * size, max_size=size * size).map(
+        lambda e: np.array(e, dtype=np.int64).reshape(size, size))
+    chain = st.lists(matrix, max_size=4)
+    terms = draw(st.lists(st.tuples(st.integers(-3, 3), chain), min_size=1, max_size=3))
+    return size, terms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(product_terms())
+def test_sparse_product_matches_the_dense_product(drawn):
+    # the result lists the nonzero entries of the exact sum row by row; a
+    # bound of 2**62 or more, sum |c| prod row_sum, is refused rather than
+    # wrapped
+    size, terms = drawn
+    kernels = [(c, [_kernel_of(m) for m in chain]) for c, chain in terms]
+    row_sum = lambda m: max(sum(abs(int(v)) for v in row) for row in m)
+    bound = sum(abs(c) * math.prod(row_sum(m) for m in chain) for c, chain in terms)
+    if bound >= 2**62:
+        with pytest.raises(CertificationError, match="too large"):
+            _sparse_product(kernels, size)
+        return
+    rows, cols, coeffs = _sparse_product(kernels, size)
+    expect = _dense_product(terms, size)
+    assert coeffs.dtype == np.int64 and coeffs.all()
+    assert [rows.tolist(), cols.tolist()] == [a.tolist() for a in np.nonzero(expect)]
+    assert coeffs.tolist() == expect[rows, cols].tolist()
+
+
+def test_sparse_product_edge_cases():
+    kernel = _kernel_of(np.array([[2, -1, 0], [0, 0, 3], [0, 0, 0]], dtype=np.int64))
+    shift = _kernel_of(np.eye(3, k=1, dtype=np.int64))
+    # the empty product is I, and entries that cancel are dropped
+    assert [a.tolist() for a in _sparse_product([(1, ())], 3)] == [[0, 1, 2]] * 2 + [[1, 1, 1]]
+    for terms in ([(1, (kernel,)), (-1, (kernel,))], [(1, (shift, shift, shift))], []):
+        assert all(len(a) == 0 for a in _sparse_product(terms, 3))
+    rows, cols, coeffs = _sparse_product([(1, (kernel, kernel)), (-4, ()), (4, ())], 3)
+    assert (rows.tolist(), cols.tolist(), coeffs.tolist()) == ([0, 0, 0], [0, 1, 2], [4, -2, -3])
+    # the bound is sum |c| prod row_sum: just below 2**62 the sum is exact,
+    # at 2**62 it is refused
+    big, below = (_kernel_of(np.array([[v]], dtype=np.int64)) for v in (2**31, 2**31 - 1))
+    assert _sparse_product([(-1, (big, below))], 1)[2].tolist() == [2**31 - 2**62]
+    assert _sparse_product([(2**62 - 1, ())], 1)[2].tolist() == [2**62 - 1]
+    for terms in ([(1, (big, big))], [(2**62, ())], [(2**61, ()), (-(2**61), ())],
+                  [(-1, (big, big, big))]):
+        with pytest.raises(CertificationError, match="too large"):
+            _sparse_product(terms, 1)
 
 
 def test_braid_relations_hold():

@@ -1,5 +1,6 @@
 """The package's public names, with the matrix layer's resolved on first use."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -59,3 +60,13 @@ def test_cli_runs_as_a_module_without_warnings():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("[n3-partial-conjugations]")
+
+
+def test_no_assert_statements_in_the_package():
+    # certificate checks must raise real exceptions: python -O strips assert
+    found = []
+    for path in sorted(Path(linkhom.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
