@@ -20,9 +20,16 @@ matrix of the braid with every strand outside S forgotten.  So column
 clasp number of exact support S once the lower degrees are gone.  After
 each degree its ordered comb product is divided out on the left, by
 applying the comb powers with negated exponents to the probes through
-cached comb kernels, each power ``I + e N`` one step of the loop that
-applies sparse kernels to vectors in :mod:`linkhom.gamma`; no strand is
-deleted and no braid word is built.  Each comb kernel ``N`` is one
+cached comb kernels (:func:`comb_power_product`); no strand is deleted
+and no braid word is built.  In the loop that applies sparse kernels to
+vectors in :mod:`linkhom.gamma`, each power ``I + e N`` is one step in
+place, and each run of consecutive powers of one degree d with ``2d >=
+n`` is one step: such kernels multiply to zero, so the run is ``I + sum
+e N``, one sparse pass through the family of the degree's kernels.  A
+table per n maps each comb sequence to its kernel or to its family and
+member.  Each kernel is built on first use, and a family holds the
+kernels of its degree built so far: it is built again when new combs
+join it.  Each comb kernel ``N`` is one
 :class:`linkhom.gamma.SparseKernel`, built by the exact sparse product
 of kernels there: :func:`comb_kernel` only names the factors, the
 generator kernels of the word of ``A_{i,m}`` at degree 1 and the
@@ -144,12 +151,24 @@ class ClaspVector:
         cleaned = {}
         for seq, value in self.nu.items():
             seq = tuple(seq)
-            _check_comb_sequence(seq)
-            if seq[-1] > self.n:
-                raise BraidError(f"comb sequence {seq} does not fit on {self.n} strands")
+            self._check_key(seq)
             if value:
                 cleaned[seq] = int(value)
         object.__setattr__(self, "nu", cleaned)
+
+    def _check_key(self, seq: tuple[int, ...]) -> None:
+        _check_comb_sequence(seq)
+        if seq[-1] > self.n:
+            raise BraidError(f"comb sequence {seq} does not fit on {self.n} strands")
+
+    @classmethod
+    def _trusted(cls, n: int, nu: dict[tuple[int, ...], int]) -> ClaspVector:
+        """A vector whose keys are comb sequences that fit on ``n >= 1``
+        strands and whose values are nonzero Python integers, unchecked."""
+        v = object.__new__(cls)
+        for name, value in (("n", n), ("nu", nu), ("order", CLASP_ORDER)):
+            object.__setattr__(v, name, value)
+        return v
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -176,13 +195,18 @@ class ClaspVector:
         )
 
     def updated(self, changes: dict[tuple[int, ...], int]) -> "ClaspVector":
+        """The vector with ``changes`` written over it; only keys new to it
+        are checked, as the constructor checks them."""
         out = dict(self.nu)
         for seq, value in changes.items():
+            seq = tuple(seq)
             if value:
-                out[tuple(seq)] = value
+                if seq not in out:
+                    self._check_key(seq)
+                out[seq] = int(value)
             else:
-                out.pop(tuple(seq), None)
-        return ClaspVector(self.n, out)
+                out.pop(seq, None)
+        return ClaspVector._trusted(self.n, out)
 
     def is_zero(self) -> bool:
         return not self.nu
@@ -258,11 +282,59 @@ def comb_kernel(c: CombClasper, n: int) -> UnipotentKernel:
     return UnipotentKernel.of_terms(terms, c.degree, basis)
 
 
-def comb_power_product(factors: list[tuple[CombClasper, int]], n: int, x: np.ndarray) -> np.ndarray:
-    """gamma(c_1^e_1 .. c_k^e_k) @ x for comb braids c_i on n strands (exact)."""
-    from .gamma import apply_power_product
+@lru_cache(maxsize=None)
+def _comb_table(n: int) -> dict[tuple[int, ...], object]:
+    """Each comb sequence on n strands whose power has been applied, mapped
+    to its kernel, or to its ``(family, member index)`` when twice its
+    degree is at least n (filled by :func:`_enter_combs`)."""
+    admit_strands(n)
+    return {}
 
-    return apply_power_product([(comb_kernel(c, n), e) for c, e in factors], x)
+
+def _enter_combs(combs: list[CombClasper], n: int) -> None:
+    """Enter the combs that are new to the comb table of n strands, with
+    their kernels built on this first use.  The new combs of a degree d
+    with ``2d >= n`` join the family of the degree's combs entered before,
+    built again once with them, so no kernel is built before a power of its
+    comb is applied."""
+    from .gamma import _KernelFamily
+
+    table = _comb_table(n)
+    joining: dict[int, dict[tuple[int, ...], None]] = {}
+    for c in combs:
+        if c.sequence in table:
+            continue
+        kernel = comb_kernel(c, n)  # refuses a comb that does not fit on n strands
+        if 2 * c.degree < n:
+            table[c.sequence] = kernel
+        else:
+            joining.setdefault(len(c.sequence), {})[c.sequence] = None
+    for size, new in joining.items():
+        old = sorted((entry[1], seq) for seq, entry in table.items() if len(seq) == size)
+        seqs = [seq for _, seq in old] + list(new)
+        family = _KernelFamily.of_kernels([comb_kernel(CombClasper(s), n) for s in seqs], n)
+        table.update((seq, (family, k)) for k, seq in enumerate(seqs))
+
+
+def comb_power_product(factors: list[tuple[CombClasper, int]], n: int, x: np.ndarray) -> np.ndarray:
+    """gamma(c_1^e_1 .. c_k^e_k) @ x for comb braids c_i on n strands (exact).
+
+    A comb of degree d has ``gamma(c) = I + N`` with ``N`` raising weight by
+    d, and RF_n is nilpotent of class n - 1, so the kernels of two combs
+    whose degrees sum to n or more multiply to zero.  So each run of
+    consecutive factors of one degree d with ``2d >= n`` is ``I + sum e N``
+    and takes one sparse pass through the family of that degree's kernels
+    (:func:`_enter_combs`); every other power ``I + e N`` takes its own.
+    """
+    from .gamma import _apply_powers
+
+    table = _comb_table(n)
+    try:
+        kernels = [(table[c.sequence], e) for c, e in factors]
+    except KeyError:
+        _enter_combs([c for c, _ in factors], n)
+        kernels = [(table[c.sequence], e) for c, e in factors]
+    return _apply_powers(kernels, x, (len(enumerate_basic_commutators(n)),))
 
 
 @dataclass(frozen=True)
@@ -350,7 +422,7 @@ def read_clasp_numbers(n: int, probes: np.ndarray) -> ClaspVector:
             probes = comb_power_product([(c, -value) for c, value in reversed(found)], n, probes)
     if not np.array_equal(probes, probe_block(n)):
         raise CertificationError("the peeled probes are not the probe block")
-    return ClaspVector(n, nu)
+    return ClaspVector._trusted(n, nu)  # the plan's combs fit on n strands
 
 
 def extract_clasp_vector(b: BraidWord) -> ClaspVector:

@@ -243,7 +243,7 @@ def partial_conjugate(v: ClaspVector, pc: PartialConjugation) -> ClaspVector:
     i, j = pc.strand, pc.conjugator
     if max(i, j) > n:
         raise BraidError(f"strands ({i},{j}) out of range for a braid on {n} strands")
-    b = [(c, v.get(c.sequence)) for c in enumerate_comb_claspers(n) if v.get(c.sequence)]
+    b = [(c, e) for c in enumerate_comb_claspers(n) if (e := v.get(c.sequence))]
     theta = [(c, e) for c, e in b if i not in c.sequence]
     lam = CombClasper((min(i, j), max(i, j)))
     moved = (
@@ -288,15 +288,16 @@ def milnor_triplet(v: ClaspVector) -> tuple[tuple[int, int, int], int]:
 # The layered decision procedure.
 
 
-def _degree_seqs(n: int, degree: int) -> list[tuple[int, ...]]:
-    return [c.sequence for c in enumerate_comb_claspers(n) if c.degree == degree]
+@lru_cache(maxsize=None)
+def _degree_seqs(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(c.sequence for c in enumerate_comb_claspers(n) if c.degree == degree)
 
 
-def _values(v: ClaspVector, seqs: list[tuple[int, ...]]) -> tuple[int, ...]:
+def _values(v: ClaspVector, seqs: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(v.get(s) for s in seqs)
 
 
-def _increment_vector(row: MoveRow, seqs: list[tuple[int, ...]], lookup) -> tuple[int, ...]:
+def _increment_vector(row: MoveRow, seqs: tuple[tuple[int, ...], ...], lookup) -> tuple[int, ...]:
     """Row increments on the given targets, sources read through ``lookup``."""
     incs = dict(row.increments)
     out = []

@@ -54,11 +54,16 @@ gives sigma_i^-1, each comb kernel ``N``, whose factors
 :func:`linkhom.claspers.comb_kernel` names, and each letter pair; it
 also certifies sigma_i^-1 by ``sigma_i sigma_i^-1 = I``.
 
-A caller's vector or block takes each sparse step, ``G x`` or ``x + e N
-x``, in one loop (:func:`_run_steps`).  Arithmetic is float64 on the
-letter pairs and int64 in that loop while a running bound proves it
-exact, and Python integers beyond, so all results are exact regardless
-of word length; they are int64 or Python integers, never floats.
+A caller's vector or block takes each sparse step in one loop
+(:func:`_run_steps`).  There are three kinds: ``G x`` into a new array;
+``x += e N x`` in place, for one power; and ``x += sum c_k N_k x`` in
+place, one pass for a run of powers of members of a :class:`_KernelFamily`,
+kernels whose reach r has ``2r >= n``.  Their products are zero, since
+RF_n is nilpotent of class n - 1, so such a run is ``I + sum e_k N_k``.
+Arithmetic is float64 on the letter pairs and int64 in that loop while a
+running bound proves it exact, and Python integers beyond, so all results
+are exact regardless of word length; they are int64 or Python integers,
+never floats.
 Inputs of any integer or bool dtype, or objects that are each an
 integer, are taken exactly; floats are refused.
 """
@@ -215,6 +220,18 @@ class SparseKernel:
         out[rows] = sums
         return out
 
+    def add_into(self, y: np.ndarray, width: int, e: int) -> None:
+        """``y += e M y`` in place, for ``y`` holding ``width`` stacked
+        columns and ``M`` with at least one entry and a zero row, as the
+        ``N`` of a unipotent kernel has: only ``M``'s nonzero rows change."""
+        rows, starts, cols, coeffs = self._tile(width)
+        y[rows] += e * np.add.reduceat(coeffs * y[cols], starts)
+
+
+def _entry_rows(kernel: SparseKernel) -> np.ndarray:
+    """The row of each of the kernel's entries, in the order of ``cols``."""
+    return np.repeat(kernel.rows, np.diff(np.append(kernel.starts, len(kernel.cols))))
+
 
 def _join(
     rows: np.ndarray, cols: np.ndarray, coeffs: np.ndarray, right: SparseKernel
@@ -274,8 +291,7 @@ def _sparse_product(
             continue
         if chain:
             first = chain[0]
-            rows = np.repeat(first.rows, np.diff(np.append(first.starts, len(first.cols))))
-            cols, coeffs = first.cols, first.coeffs
+            rows, cols, coeffs = _entry_rows(first), first.cols, first.coeffs
         else:
             rows, cols, coeffs = identity, identity, np.ones(size, np.int64)
         for kernel in chain[1:]:
@@ -293,17 +309,19 @@ def _run_steps(steps: Sequence[tuple], x: np.ndarray) -> np.ndarray:
     """``x`` after ``steps``, first to last, for a vector or a block of any
     width (exact), as a new array.
 
-    A step ``(factor, kernel, None)`` applies the kernel's matrix ``G``,
-    and ``(factor, kernel, e)`` applies ``(I + N)^e = I + e N`` for the
-    kernel's matrix ``N``, with ``N^2 = 0``.  ``factor`` bounds how much the
-    step can raise ``max|x|``: ``row_sum``, and ``1 + |e| row_sum``.  A
-    block wider than ``_NARROW`` runs ``_NARROW`` columns at a time, the
-    results joined (as Python integers if any of them turned to Python
-    integers).  The columns are stacked end to end, so each step is one
-    sparse product (:meth:`SparseKernel.apply`).  They stay int64 while a
-    running bound proves it safe: the last scanned ``max|x|`` times the
-    factors of the steps taken since, which bounds every result and partial
-    sum.  When the bound reaches 2**62, ``x`` is scanned again; if the
+    There are three kinds of step.  ``(factor, kernel, None)`` applies the
+    kernel's matrix ``G``.  ``(factor, kernel, e)`` applies ``(I + N)^e = I
+    + e N`` for the kernel's matrix ``N``, with ``N^2 = 0``, in place: only
+    the nonzero rows of ``N`` change.  ``(factor, family, c)`` applies ``I
+    + sum c_k N_k`` over a :class:`_KernelFamily`, in place too.  ``factor``
+    bounds how much the step can raise ``max|x|``: ``row_sum``, ``1 + |e|
+    row_sum``, and ``1 + sum |c_k| row_sum_k``.  A block wider than
+    ``_NARROW`` runs ``_NARROW`` columns at a time, the results joined (as
+    Python integers if any of them turned to Python integers).  The
+    columns are stacked end to end, so each step is one sparse pass.  They
+    stay int64 while a running bound proves it safe: the last scanned
+    ``max|x|`` times the factors of the steps taken since, which bounds
+    every result and partial sum.  When the bound reaches 2**62, ``x`` is scanned again; if the
     bound is still that large, the rest runs on Python integers.
     """
     if not steps:  # as when letter pairs took the whole word: nothing to scan
@@ -326,7 +344,7 @@ def _run_steps(steps: Sequence[tuple], x: np.ndarray) -> np.ndarray:
         if e is None:
             y = kernel.apply(y, width)
         else:
-            y = y + e * kernel.apply(y, width)
+            kernel.add_into(y, width, e)
     return y.reshape(x.shape[::-1]).T
 
 
@@ -353,10 +371,11 @@ class UnipotentKernel:
     weight by ``reach``.  No nonzero row of ``N`` may index a nonzero
     column, which certifies ``N^2 = 0`` once for every power, so ``(I +
     N)^e = I + e N`` is one step of :func:`_run_steps`.  ``N`` is kept as
-    the sparse kernel ``nil``.
+    the sparse kernel ``nil``, with its certified ``reach``.
     """
 
     nil: SparseKernel
+    reach: int
 
     @classmethod
     def of_terms(
@@ -378,7 +397,88 @@ class UnipotentKernel:
         nonzero_cols[cols] = True
         if nonzero_cols[rows].any():
             raise CertificationError("gamma(b) - I does not square to zero")
-        return cls(SparseKernel.of_entries(m, rows, cols, coeffs))
+        return cls(SparseKernel.of_entries(m, rows, cols, coeffs), reach)
+
+
+@dataclass(frozen=True, eq=False)
+class _KernelFamily:
+    """``sum_k c_k N_k`` over the ``N`` of unipotent kernels on n strands
+    whose reaches r all have ``2r >= n`` (read-only).
+
+    Each member keeps only the columns of weight at most ``n - r <= r`` and
+    raises weight by r (:meth:`UnipotentKernel.of_terms` certifies both),
+    so its nonzero rows have weight above r.  So no member's nonzero row
+    indexes any member's nonzero column, every product ``N_j N_k`` is zero,
+    and a run of the members' powers is ``I + sum e_k N_k`` in any order,
+    with a repeated member's exponents added.  ``row_sums`` holds each
+    member's ``row_sum``, ``entries`` every member's entries sorted by row
+    (its own ``row_sum`` is not used), and ``member`` the member of each
+    entry; one pass gathers, scales each entry by its member's coefficient
+    and takes one run sum per row.
+    """
+
+    row_sums: tuple[int, ...]
+    entries: SparseKernel
+    member: np.ndarray
+    tiles: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def of_kernels(cls, kernels: Sequence[UnipotentKernel], n: int) -> _KernelFamily:
+        if any(2 * kernel.reach < n for kernel in kernels):
+            raise CertificationError(f"a kernel family on {n} strands needs every reach to be at "
+                                     f"least {n}/2, so that its products vanish")
+        members = tuple(kernel.nil for kernel in kernels)
+        rows = np.concatenate([_entry_rows(nil) for nil in members])
+        order = np.argsort(rows, kind="stable")
+        cols, coeffs = (np.concatenate([getattr(nil, a) for nil in members])[order]
+                        for a in ("cols", "coeffs"))
+        member = np.repeat(np.arange(len(members)), [len(nil.cols) for nil in members])[order]
+        entries = SparseKernel.of_entries(members[0].size, rows[order], cols, coeffs)
+        return cls(tuple(nil.row_sum for nil in members), entries, member)
+
+    def add_into(self, y: np.ndarray, width: int, c: Sequence[int]) -> None:
+        """``y += sum c_k N_k y`` in place, for ``y`` holding ``width``
+        stacked columns; every ``c_k`` fits ``y``'s dtype."""
+        rows, starts, cols, coeffs = self.entries._tile(width)
+        member = self.tiles.get(width)
+        if member is None:
+            member = self.tiles[width] = np.tile(self.member, width)
+        scale = np.array(c, dtype=y.dtype)[member] * coeffs
+        y[rows] += np.add.reduceat(scale * y[cols], starts)
+
+
+def _power_steps(
+    factors: Sequence[tuple[UnipotentKernel | tuple[_KernelFamily, int], int]]
+) -> list[tuple]:
+    """The steps of :func:`_run_steps` for ``b_1^e_1 .. b_k^e_k``, last first.
+
+    A factor's kernel is a :class:`UnipotentKernel`, whose power is one step,
+    or a member ``(family, k)`` of a :class:`_KernelFamily`: consecutive
+    members of one family take one step, with their exponents added by
+    member.  ``(I + N)^e`` is I for e = 0 and for N = 0, where ``e N x``
+    would overflow int64 for a huge e, so those take no step and do not end
+    a run, and a run whose exponents cancel takes none either.
+    """
+    runs: list = []
+    for kernel, e in reversed(factors):
+        if type(kernel) is tuple:
+            family, k = kernel
+            if not (runs and runs[-1][1] is family):
+                runs.append([None, family, [0] * len(family.row_sums)])
+            runs[-1][2][k] += e
+        elif e and kernel.nil.row_sum:
+            runs.append((1 + abs(e) * kernel.nil.row_sum, kernel.nil, e))
+    steps = []
+    for step in runs:
+        if type(step) is list:
+            _, family, c = step
+            c = [e if row_sum else 0 for e, row_sum in zip(c, family.row_sums)]
+            factor = 1 + sum(abs(e) * row_sum for e, row_sum in zip(c, family.row_sums))
+            if factor == 1:
+                continue
+            step = factor, family, c
+        steps.append(step)
+    return steps
 
 
 def apply_power_product(
@@ -386,14 +486,20 @@ def apply_power_product(
 ) -> np.ndarray:
     """``gamma(b_1^e_1 .. b_k^e_k) @ x`` from the kernels of the ``b_i``, last
     first, as a new array (exact)."""
+    return _apply_powers(factors, x, {kernel.nil.size for kernel, _ in factors})
+
+
+def _apply_powers(
+    factors: Sequence[tuple[UnipotentKernel | tuple[_KernelFamily, int], int]],
+    x: np.ndarray,
+    sizes: Sequence[int],
+) -> np.ndarray:
+    """:func:`apply_power_product` for kernels or family members
+    (:func:`_power_steps`) that act on ``sizes`` basis elements."""
     x = np.asarray(x)
-    for size in {kernel.nil.size for kernel, _ in factors}:
+    for size in sizes:
         _check_input(x, size)
-    x = _exact_integers(x)
-    # (I + N)^e is I for e = 0 and for N = 0, where e N x overflows int64 for a huge e
-    steps = [(1 + abs(e) * k.nil.row_sum, k.nil, e)
-             for k, e in reversed(factors) if e and k.nil.row_sum]
-    return _run_steps(steps, x)
+    return _run_steps(_power_steps(factors), _exact_integers(x))
 
 
 @dataclass(frozen=True)

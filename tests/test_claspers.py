@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -409,6 +411,145 @@ def test_comb_powers_refuse_inputs_off_the_basis():
     big = np.array([[np.int64(2**62 * (i == j)) for j in range(24)] for i in range(24)], object)
     assert gamma.apply_power_product([(kernel, 2)], big).tolist() == expect
     assert comb_power_product([(CombClasper((1, 2)), 2)], 4, big).tolist() == expect
+
+
+_NIL_BLOCKS: dict = {}
+
+
+def _nil_block(c, n):
+    """The nonzero block of the comb kernel's N, densified as Python
+    integers: its rows, its columns and the block."""
+    if (c, n) not in _NIL_BLOCKS:
+        runs = comb_kernel(c, n).nil
+        m = runs.size
+        nil = np.zeros((m, m), dtype=np.int64)
+        nil[np.repeat(runs.rows, np.diff(runs.starts, append=len(runs.cols))), runs.cols] = runs.coeffs
+        rows, cols = np.flatnonzero(nil.any(axis=1)), np.flatnonzero(nil.any(axis=0))
+        _NIL_BLOCKS[c, n] = rows, cols, nil[np.ix_(rows, cols)].astype(object)
+    return _NIL_BLOCKS[c, n]
+
+
+def _dense_power_product(factors, n, x):
+    """The product of the (I + e N), last first, in object dtype; N is zero
+    outside its nonzero block, so only that block is multiplied."""
+    y = x.astype(object)
+    for c, e in reversed(factors):
+        rows, cols, block = _nil_block(c, n)
+        y[rows] = y[rows] + e * (block @ y[cols])
+    return y
+
+
+@st.composite
+def comb_products(draw):
+    """Products at n = 3..6 that favour runs of combs of degree d with 2d >=
+    n, which repeat combs and hold zero and huge exponents, applied to a
+    vector (width 0) or a block of 1, 4, 9 or 20 columns with entries up to
+    1, 100 or 2**40."""
+    n = draw(st.integers(3, 6))
+    combs = enumerate_comb_claspers(n)
+    high = [c for c in combs if 2 * c.degree >= n]
+    exponent = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2**70, 2**70))
+    run = st.lists(st.tuples(st.sampled_from(high), exponent), min_size=1, max_size=8)
+    single = st.tuples(st.sampled_from(combs), exponent).map(lambda f: [f])
+    pieces = draw(st.lists(st.one_of(run, run.map(lambda r: r + r[:1]), single), max_size=6))
+    width = draw(st.sampled_from((0, 1, 4, 9, 20)))
+    top = draw(st.sampled_from((1, 100, 2**40)))
+    m = len(enumerate_basic_commutators(n))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    x = np.array([rng.randint(-top, top) for _ in range(m * max(width, 1))], dtype=np.int64)
+    x[0] = top
+    return n, [f for piece in pieces for f in piece], x.reshape(m, width) if width else x
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(comb_products())
+def test_comb_power_product_matches_the_dense_product(product):
+    # runs of high-degree combs take one sparse pass through their family,
+    # other powers one step in place; either way the values are the
+    # product of the (I + e N), in int64 or as Python integers
+    n, factors, x = product
+    got = comb_power_product(factors, n, x)
+    assert got.shape == x.shape and got.dtype in (np.int64, object)
+    assert got.tolist() == _dense_power_product(factors, n, x).tolist()
+
+
+def test_family_steps_escalate_partway(monkeypatch):
+    # applied last first: the degree-2 power b stays in int64, the run of
+    # degree-3 powers in the middle, one family step, leaves int64 under a
+    # lowered bound, and the degree-1 power a runs on Python integers.  The
+    # run's bound adds |e| row_sum over its members, with a repeated
+    # member's exponents added first; the largest single term stays below
+    # the threshold
+    n = 5
+    combs = enumerate_comb_claspers(n)
+    a = next(c for c in combs if c.degree == 1)
+    b = next(c for c in combs if c.degree == 2)
+    run = [(c, 1000 + k) for k, c in enumerate(c for c in combs if c.degree == 3)]
+    factors = [(a, 7)] + run + run[:2] + [(b, 1)]
+    probes = probe_block(n)
+    expect = [comb_power_product(factors[k:], n, probes) for k in (0, 1, len(factors) - 1)]
+    assert all(out.dtype == np.int64 for out in expect)
+    step_b = 1 + comb_kernel(b, n).nil.row_sum
+    terms = [abs(e) * (1 + (k < 2)) * comb_kernel(c, n).nil.row_sum for k, (c, e) in enumerate(run)]
+    threshold = step_b * (1 + max(terms)) + 1
+    assert int(np.abs(expect[2]).max()) * (1 + sum(terms)) >= threshold
+    monkeypatch.setattr(gamma, "_INT64_SAFE", threshold)
+    got = [comb_power_product(factors[k:], n, probes) for k in (0, 1, len(factors) - 1)]
+    assert [out.dtype for out in got] == [object, object, np.int64]
+    assert [out.tolist() for out in got] == [out.tolist() for out in expect]
+
+
+def test_kernel_families_need_half_the_strands():
+    # a family's products vanish only when twice its reach is at least n:
+    # at n = 5 the degree-2 kernels are refused, the degree-3 ones taken
+    by_degree = {d: [comb_kernel(c, 5) for c in enumerate_comb_claspers(5) if c.degree == d]
+                 for d in (2, 3)}
+    with pytest.raises(CertificationError, match="reach"):
+        gamma._KernelFamily.of_kernels(by_degree[2], 5)
+    with pytest.raises(CertificationError, match="reach"):
+        gamma._KernelFamily.of_kernels(by_degree[3] + by_degree[2][:1], 5)
+    family = gamma._KernelFamily.of_kernels(by_degree[3], 5)
+    assert len(family.row_sums) == 10
+    assert not np.isin(family.entries.rows, family.entries.cols).any()
+
+
+def test_kernels_and_families_are_built_on_first_use(monkeypatch):
+    # a cold product of one degree-3 comb at n = 5 builds its kernel and
+    # the kernels below it, never one of degree 4.  Its family then holds
+    # it alone; combs of the degree that come later join the family, which
+    # is built again once per product with every new member
+    reaches = []
+    of_terms = gamma.UnipotentKernel.of_terms
+
+    def spy(cls, terms, reach, basis):
+        reaches.append(reach)
+        return of_terms(terms, reach, basis)
+
+    comb_kernel.cache_clear()
+    claspers._comb_table.cache_clear()
+    monkeypatch.setattr(gamma.UnipotentKernel, "of_terms", classmethod(spy))
+    first, *later = (c for c in enumerate_comb_claspers(5) if c.degree == 3)
+    probes = probe_block(5)
+    got = comb_power_product([(first, 2)], 5, probes)
+    assert [reaches.count(reach) for reach in (2, 3, 4)] == [1, 1, 0]
+    assert got.tolist() == _dense_power_product([(first, 2)], 5, probes).tolist()
+    table = claspers._comb_table(5)
+    assert list(table) == [first.sequence] and len(table[first.sequence][0].row_sums) == 1
+    factors = [(c, k - 4) for k, c in enumerate(later[:3] + [first])]
+    got = comb_power_product(factors, 5, probes)
+    assert got.tolist() == _dense_power_product(factors, 5, probes).tolist()
+    family = table[first.sequence][0]
+    assert [table[c.sequence] for c in [first] + later[:3]] == [(family, k) for k in range(4)]
+    assert max(reaches) == 3 and reaches.count(3) == 4
+
+
+def test_updated_checks_only_new_keys():
+    v = ClaspVector(4, {(1, 2): 3, (1, 2, 4): -1})
+    assert v.updated({(1, 2): 0, (2, 3, 4): 5, (1, 3): 0}).nu == {(1, 2, 4): -1, (2, 3, 4): 5}
+    for bad, match in (((1, 5), "does not fit"), ((2, 1, 3), "minimum"), ((0, 2), "below 1")):
+        with pytest.raises(BraidError, match=match):
+            v.updated({bad: 1})
+    assert v.updated({(3, 1): 0}) == ClaspVector(4, {(1, 2): 3, (1, 2, 4): -1})
 
 
 def test_escalation_matches_int64(monkeypatch):
