@@ -48,6 +48,7 @@ Vectors are serialized as ``{"n": .., "order": "degree-lex",
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -135,8 +136,8 @@ def comb_clasper_braid(c: CombClasper, n: int) -> BraidWord:
 class ClaspVector:
     """Clasp numbers of a pure braid on n strands, degree-lex order.
 
-    ``nu`` maps comb sequences to integers; zero entries are dropped on
-    construction so equality is value equality.
+    ``nu`` maps comb sequences to integers, kept as Python ints; zero
+    entries are dropped on construction so equality is value equality.
     """
 
     n: int
@@ -152,8 +153,9 @@ class ClaspVector:
         for seq, value in self.nu.items():
             seq = tuple(seq)
             self._check_key(seq)
+            value = _integer(value)
             if value:
-                cleaned[seq] = int(value)
+                cleaned[seq] = value
         object.__setattr__(self, "nu", cleaned)
 
     def _check_key(self, seq: tuple[int, ...]) -> None:
@@ -195,15 +197,16 @@ class ClaspVector:
         )
 
     def updated(self, changes: dict[tuple[int, ...], int]) -> "ClaspVector":
-        """The vector with ``changes`` written over it; only keys new to it
-        are checked, as the constructor checks them."""
+        """The vector with ``changes`` written over it; only their values and
+        the keys new to it are checked, as the constructor checks them."""
         out = dict(self.nu)
         for seq, value in changes.items():
             seq = tuple(seq)
+            value = _integer(value)
             if value:
                 if seq not in out:
                     self._check_key(seq)
-                out[seq] = int(value)
+                out[seq] = value
             else:
                 out.pop(seq, None)
         return ClaspVector._trusted(self.n, out)
@@ -222,10 +225,10 @@ class ClaspVector:
     @classmethod
     def from_json(cls, data: dict) -> "ClaspVector":
         try:
-            n = _json_int(data["n"])
+            n = _integer(data["n"])
             order = data.get("order", CLASP_ORDER)
             nu = {
-                tuple(int(p) for p in key.split(".")): _json_int(value)
+                tuple(int(p) for p in key.split(".")): value  # checked by the constructor
                 for key, value in data.get("nu", {}).items()
             }
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -235,11 +238,13 @@ class ClaspVector:
         return cls(n, nu, order)
 
 
-def _json_int(value: object) -> int:
-    """A JSON integer as is; ``int()`` would truncate 1.5 and accept true."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+def _integer(value: object) -> int:
+    """A Python or numpy integer as a Python int; ``int()`` would truncate
+    1.5 and accept true, so floats (2.0 too), fractions, strings and bools
+    raise :class:`BraidError`."""
+    if type(value) is bool or not hasattr(value, "__index__"):
+        raise BraidError(f"expected an integer, got {value!r}")
+    return operator.index(value)
 
 
 def clasp_vector_to_braid(v: ClaspVector) -> BraidWord:
@@ -399,15 +404,17 @@ def read_clasp_numbers(n: int, probes: np.ndarray) -> ClaspVector:
     negated exponents to the probes.  When every degree is peeled the
     probes must be P again.  A readout that breaks any of this raises
     :class:`CertificationError`; probes of any shape but one row per basis
-    element and one column per strand 2..n raise :class:`RankError`.
+    element and one column per strand 2..n raise :class:`RankError`, and
+    float probes ``TypeError``.
     """
     import numpy as np
 
-    from .gamma import probe_block
+    from .gamma import _exact_integers, probe_block
 
     basis = enumerate_basic_commutators(n)
     if probes.shape != (len(basis), n - 1):
         raise RankError(f"probes of shape {probes.shape} are not {len(basis)} by {n - 1}")
+    probes = _exact_integers(probes)
     nu: dict[tuple[int, ...], int] = {}
     for plan in _readout_plan(n):
         if (probes[plan.unit] != 1).any():

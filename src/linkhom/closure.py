@@ -44,7 +44,7 @@ from .braids import BraidError, CertificationError
 from .claspers import (
     ClaspVector,
     CombClasper,
-    _json_int,
+    _integer,
     comb_power_product,
     enumerate_comb_claspers,
     read_clasp_numbers,
@@ -115,9 +115,9 @@ class Move:
     @classmethod
     def from_json(cls, data: dict) -> "Move":
         try:
-            row, multiplier = _json_int(data["row"]), _json_int(data["multiplier"])
+            row, multiplier = _integer(data["row"]), _integer(data["multiplier"])
             return cls(str(data["table"]), row, multiplier)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise BraidError(f"invalid move object: {exc!r}") from exc
 
 

@@ -46,13 +46,13 @@ A_{i,i+1}``, a second ``N`` repeats a strand, which vanishes in RF_n; so
 ``N^2 = 0`` and a power ``I + e N`` is one sparse product, and exponent
 -1 gives the inverse.
 
-Every cached matrix is built by one exact sparse product of kernels
-(:func:`_sparse_product`): a signed sum of products of
-:class:`SparseKernel`, summed in int64 under one row-sum bound and
-refused past it, with no identity block pushed through any loop.  It
-gives sigma_i^-1, each comb kernel ``N``, whose factors
-:func:`linkhom.claspers.comb_kernel` names, and each letter pair; it
-also certifies sigma_i^-1 by ``sigma_i sigma_i^-1 = I``.
+Every cached matrix is built from its entries as a :class:`SparseKernel`,
+and a dense one is only a copy: sigma_i's entries are the closed form's,
+every other's one exact sparse product of kernels (:func:`_sparse_product`),
+summed in int64 under one row-sum bound and refused past it, with no
+identity block pushed through any loop.  It gives sigma_i^-1, each comb
+kernel ``N``, whose factors :func:`linkhom.claspers.comb_kernel` names, and
+each letter pair; it also certifies sigma_i^-1 by ``sigma_i sigma_i^-1 = I``.
 
 A caller's vector or block takes each sparse step in one loop
 (:func:`_run_steps`).  There are three kinds: ``G x`` into a new array;
@@ -188,21 +188,12 @@ class SparseKernel:
             a.flags.writeable = False
         return cls(size, kept, starts, cols, coeffs, row_sum)
 
-    @classmethod
-    def from_dense(cls, g: np.ndarray) -> SparseKernel:
-        """A generator matrix, which must have no zero row."""
-        if not np.count_nonzero(g, axis=1).all():  # a zero row makes G singular
-            raise CertificationError("generator matrix has a zero row")
-        rows, cols = np.nonzero(g)
-        return cls.of_entries(len(g), rows, cols, g[rows, cols])
-
-    def _tile(self, width: int) -> tuple[np.ndarray | None, ...]:
+    def _tile(self, width: int) -> tuple[np.ndarray, ...]:
         tile = self.tiles.get(width)
         if tile is None:
             shift = np.arange(width)[:, None]
-            full = len(self.rows) == self.size  # no row to scatter into zeros
             tile = (
-                None if full else (self.rows + self.size * shift).ravel(),
+                (self.rows + self.size * shift).ravel(),
                 (self.starts + len(self.cols) * shift).ravel(),
                 (self.cols + self.size * shift).ravel(),
                 np.tile(self.coeffs, width),
@@ -211,14 +202,9 @@ class SparseKernel:
         return tile
 
     def apply(self, x: np.ndarray, width: int) -> np.ndarray:
-        """``M @ x`` for ``x`` holding ``width`` stacked columns."""
-        rows, starts, cols, coeffs = self._tile(width)
-        sums = np.add.reduceat(coeffs * x[cols], starts) if len(cols) else x[:0]
-        if rows is None:
-            return sums
-        out = np.zeros(x.shape, x.dtype)
-        out[rows] = sums
-        return out
+        """``M @ x`` for ``x`` holding ``width`` stacked columns, for ``M`` with no zero row."""
+        _, starts, cols, coeffs = self._tile(width)
+        return np.add.reduceat(coeffs * x[cols], starts)
 
     def add_into(self, y: np.ndarray, width: int, e: int) -> None:
         """``y += e M y`` in place, for ``y`` holding ``width`` stacked
@@ -231,6 +217,13 @@ class SparseKernel:
 def _entry_rows(kernel: SparseKernel) -> np.ndarray:
     """The row of each of the kernel's entries, in the order of ``cols``."""
     return np.repeat(kernel.rows, np.diff(np.append(kernel.starts, len(kernel.cols))))
+
+
+def _dense(kernel: SparseKernel, layout: str = "C") -> np.ndarray:
+    """The kernel's matrix as a new int64 array, row-major ("C") or column-major ("F")."""
+    out = np.zeros((kernel.size, kernel.size), np.int64, order=layout)
+    out[_entry_rows(kernel), kernel.cols] = kernel.coeffs
+    return out
 
 
 def _join(
@@ -568,19 +561,27 @@ def _certified_inverse(plus: SparseKernel, basis: CommutatorBasis) -> SparseKern
 def generator_matrix(n: int, i: int, sign: int, order: str, /) -> SparseKernel:
     """Kernel of sigma_i^{sign} on n strands (cached).
 
-    sigma_i comes from the closed form; sigma_i^-1 is derived from its
-    kernel by exact sparse products and certified
-    (:func:`_certified_inverse`).  Every argument is positional and
-    required, so each kernel has one cache key and is built once.
+    sigma_i is built from the closed form's entries and refused if it has
+    a zero row; sigma_i^-1 is derived from its kernel by exact sparse
+    products and certified (:func:`_certified_inverse`).  Every argument is
+    positional and required, so each kernel has one cache key and is built
+    once.
     """
     if not 1 <= i <= n - 1:
         raise BraidError(f"generator index {i} out of range for {n} strands")
-    if sign == 1:
-        return SparseKernel.from_dense(closed_form_generator_matrix(n, i, order))
-    if sign != -1:
+    if sign not in (1, -1):
         raise BraidError(f"generator exponent must be 1 or -1, got {sign}")
     basis = enumerate_basic_commutators(n, order)
-    return _certified_inverse(generator_matrix(n, i, 1, order), basis)
+    if sign == -1:
+        return _certified_inverse(generator_matrix(n, i, 1, order), basis)
+    m = len(basis)
+    entries = [(basis.index_of(target), c, coeff)
+               for c, alpha in enumerate(basis.elements)
+               for target, coeff in gamma_generator_closed_form(i, alpha, n).items()]
+    kernel = SparseKernel.of_entries(m, *_summed(m, *np.array(entries, np.int64).T))
+    if len(kernel.rows) < m:
+        raise CertificationError("generator matrix has a zero row")
+    return kernel
 
 
 @dataclass(frozen=True, eq=False)
@@ -599,22 +600,19 @@ class _DensePair:
 def _letter_pair(n: int, first: Letter, second: Letter, order: str, /) -> _DensePair:
     """``G_first @ G_second``, the product of two letters' kernels (cached).
 
-    It is one sparse product (:func:`_sparse_product`), densified in
+    It is one sparse product (:func:`_sparse_product`), kept as a kernel
+    whose ``row_sum`` is checked, then densified (:func:`_dense`) in
     column-major order, which BLAS takes without a transpose (about 10%
-    faster per product on blocks of 3 to 8 columns at n = 4 and 5); its
-    row sum is taken on the integers, before the float64 copy.
+    faster per product on blocks of 3 to 8 columns at n = 4 and 5).
     """
     chain = (generator_matrix(n, *first, order), generator_matrix(n, *second, order))
     m = chain[0].size
-    rows, cols, coeffs = _sparse_product([(1, chain)], m)
-    product = np.zeros((m, m), np.int64, order="F")
-    product[rows, cols] = coeffs
-    row_sum = int(np.abs(product).sum(axis=1).max())
-    if row_sum >= _FLOAT_EXACT:
+    product = SparseKernel.of_entries(m, *_sparse_product([(1, chain)], m))
+    if product.row_sum >= _FLOAT_EXACT:
         raise CertificationError("letter pair is too large for exact float64 products")
-    matrix = product.astype(np.float64)
+    matrix = _dense(product, "F").astype(np.float64)
     matrix.flags.writeable = False
-    return _DensePair(matrix, row_sum)
+    return _DensePair(matrix, product.row_sum)
 
 
 def _apply_pairs(
@@ -818,14 +816,9 @@ def gamma_generator_closed_form(
 
 
 def closed_form_generator_matrix(n: int, i: int, order: str = "weight-lex") -> np.ndarray:
-    """Matrix of sigma_i assembled from the closed form (production route)."""
-    basis = enumerate_basic_commutators(n, order)
-    m = len(basis)
-    mat = np.zeros((m, m), dtype=np.int64)
-    for c, alpha in enumerate(basis.elements):
-        for target, coeff in gamma_generator_closed_form(i, alpha, n).items():
-            mat[basis.index_of(target), c] += coeff
-    return mat
+    """Matrix of sigma_i from the closed form, as a new array: the dense view
+    of the kernel that :func:`generator_matrix` builds from its entries."""
+    return _dense(generator_matrix(n, i, 1, order))
 
 
 # ---------------------------------------------------------------------------

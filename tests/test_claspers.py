@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -168,6 +169,34 @@ def test_clasp_vector_normalisation_and_json():
         ClaspVector(0, {})
     with pytest.raises(BraidError, match="unsupported clasper order"):
         ClaspVector(3, {}, "lex")
+
+
+@pytest.mark.parametrize("value", [1.5, 0.5, 2.0, 0.0, np.float64(2), Fraction(2), "1", True, np.True_],
+                         ids=repr)
+def test_clasp_numbers_must_be_integers(value):
+    # int() would truncate these, store 0.5 as a zero entry or read true as 1
+    v = ClaspVector(3, {(1, 2): 1})
+    with pytest.raises(BraidError, match="expected an integer"):
+        ClaspVector(3, {(1, 2): value})
+    for changed in ((1, 2), (1, 3)):  # a changed value and a new one
+        with pytest.raises(BraidError, match="expected an integer"):
+            v.updated({changed: value})
+
+
+def test_numpy_clasp_numbers_are_stored_as_python_integers():
+    v = ClaspVector(3, {(1, 2): np.int64(3), (1, 3): np.uint8(0), (2, 3): 2**70})
+    assert v == ClaspVector(3, {(1, 2): 3, (2, 3): 2**70})
+    w = v.updated({(1, 3): np.int32(-2), (1, 2): np.int64(0)})
+    assert w.nu == {(1, 3): -2, (2, 3): 2**70}
+    assert all(type(value) is int for value in (*v.nu.values(), *w.nu.values()))
+
+
+def test_probe_readout_refuses_float_probes():
+    # a float block with no nonzero comb cell was read as the zero vector
+    word = clasp_vector_to_braid(ClaspVector(3, {(1, 2): 1, (1, 2, 3): 1}))
+    for n, probes in ((3, probe_block(3)), (5, probe_block(5)), (3, _probes(word))):
+        with pytest.raises(TypeError, match="is not integer"):
+            read_clasp_numbers(n, probes.astype(float))
 
 
 def test_build_zero_and_power():

@@ -86,6 +86,14 @@ def test_apply_move_multiplier_is_iteration(rng):
             assert once == repeated
 
 
+def test_apply_move_refuses_a_float_multiplier():
+    # 1.5 * 2 would have stored 3.0 as a clasp number, and 0.5 * 1 a zero entry
+    row = get_row("n4-closure-moves", 1)
+    for v, multiplier in ((ClaspVector(4, {(1, 2): 2}), 1.5), (ClaspVector(4, {(1, 2): 1}), 0.5)):
+        with pytest.raises(BraidError, match="expected an integer"):
+            apply_table_move(v, row, multiplier)
+
+
 def test_apply_move_wrong_n():
     with pytest.raises(BraidError):
         apply_table_move(ClaspVector(5, {}), get_row("n4-generating", 1), 1)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -145,27 +146,75 @@ def test_inverse_certification_rejects_corrupted_generators():
     not_involution = good.copy()
     not_involution[0, 2] = 1
     with pytest.raises(CertificationError, match="raise weight"):
-        _certified_inverse(SparseKernel.from_dense(not_involution), basis)
+        _certified_inverse(_kernel_of(not_involution), basis)
     # the top-weight block [[-1,-1],[1,1]] squares to 0; N is never read
     # on top-weight columns, so only the final G @ G^-1 = I sees it
     top = basis.weight_range(3).start
     singular_top = good.copy()
     singular_top[top + 1, top] = 1
     with pytest.raises(CertificationError, match="not the matrix inverse"):
-        _certified_inverse(SparseKernel.from_dense(singular_top), basis)
+        _certified_inverse(_kernel_of(singular_top), basis)
     # an inverse whose certificate could wrap around in int64
     huge = good.copy()
     huge[basis.index_of(BasicCommutator((1, 2))), 0] = 2**61
     with pytest.raises(CertificationError, match="too large"):
-        _certified_inverse(SparseKernel.from_dense(huge), basis)
-    with pytest.raises(CertificationError):
-        SparseKernel.from_dense(np.eye(3, dtype=np.int64) - np.diag([0, 0, 1]))
+        _certified_inverse(_kernel_of(huge), basis)
     # an image two weights up is no defect: I - N inverts it exactly
     skips_weight = good.copy()
     skips_weight[basis.index_of(BasicCommutator((1, 2, 3))), 0] = 1
-    inverse = _certified_inverse(SparseKernel.from_dense(skips_weight), basis)
+    inverse = _certified_inverse(_kernel_of(skips_weight), basis)
     inverse = _run_steps(_kernel_steps([inverse]), np.eye(len(basis), dtype=np.int64))
     assert np.array_equal(skips_weight @ inverse, np.eye(len(basis), dtype=np.int64))
+
+
+def test_generator_with_a_zero_row_is_refused(monkeypatch):
+    # sigma_1 on 3 strands sends (3) to itself alone; sent to (1) instead,
+    # (3) is no column's target.  The uncached function runs the patched form.
+    closed_form = gamma.gamma_generator_closed_form
+
+    def patched(i, alpha, n):
+        return {BasicCommutator((1,)): 1} if alpha.sequence == (3,) else closed_form(i, alpha, n)
+
+    monkeypatch.setattr(gamma, "gamma_generator_closed_form", patched)
+    with pytest.raises(CertificationError, match="zero row"):
+        gamma.generator_matrix.__wrapped__(3, 1, 1, "weight-lex")
+
+
+def test_every_generator_kernel_has_a_full_row_set():
+    # SparseKernel.apply returns one run sum per row, so it needs every row
+    for n in range(2, 8):
+        for order in ORDER_TAGS:
+            for i in range(1, n):
+                for sign in (1, -1):
+                    kernel = gamma.generator_matrix(n, i, sign, order)
+                    assert np.array_equal(kernel.rows, np.arange(kernel.size))
+
+
+def test_closed_form_matrix_at_seven_strands(rng):
+    # sampled columns against an assembly of the closed form's images
+    for order in ORDER_TAGS:
+        basis = enumerate_basic_commutators(7, order)
+        for i in range(1, 7):
+            matrix = closed_form_generator_matrix(7, i, order)
+            assert matrix.shape == (len(basis), len(basis))
+            for c in rng.sample(range(len(basis)), 20):
+                column = np.zeros(len(basis), dtype=np.int64)
+                for target, coeff in gamma_generator_closed_form(i, basis.elements[c], 7).items():
+                    column[basis.index_of(target)] += coeff
+                assert np.array_equal(matrix[:, c], column)
+
+
+def test_sigma_builds_without_a_dense_matrix():
+    # a dense int64 sigma_i at 7 strands takes 2372**2 * 8 bytes, 45 MB; the
+    # basis is built first, and the uncached function leaves the caches as they are
+    enumerate_basic_commutators(7)
+    tracemalloc.start()
+    try:
+        gamma.generator_matrix.__wrapped__(7, 1, 1, "weight-lex")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_unipotent_kernels_must_square_to_zero():
