@@ -47,7 +47,6 @@ from .reduced_free import (
     parse_reduced_word,
     rfg_equal,
     rfg_normal_form,
-    series_invert,
     series_multiply,
     weight_size_formula,
 )

@@ -134,21 +134,22 @@ def comb_clasper_braid(c: CombClasper, n: int) -> BraidWord:
 
 @dataclass(frozen=True)
 class ClaspVector:
-    """Clasp numbers of a pure braid on n strands, degree-lex order.
+    """Clasp numbers of a pure braid on n strands.
 
     ``nu`` maps comb sequences to integers, kept as Python ints; zero
-    entries are dropped on construction so equality is value equality.
+    entries are dropped on construction, so the generated equality on ``n``
+    and ``nu`` is value equality.  The comb order is always degree-lex
+    (:data:`CLASP_ORDER`), the order of :func:`enumerate_comb_claspers` and
+    of the product in :func:`clasp_vector_to_braid`: the JSON form carries
+    it as ``"order"``, and :meth:`from_json` refuses any other.
     """
 
     n: int
     nu: dict[tuple[int, ...], int] = field(default_factory=dict)
-    order: str = CLASP_ORDER
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise BraidError(f"strand count must be positive, got {self.n}")
-        if self.order != CLASP_ORDER:
-            raise BraidError(f"unsupported clasper order {self.order!r}")
         cleaned = {}
         for seq, value in self.nu.items():
             seq = tuple(seq)
@@ -168,16 +169,9 @@ class ClaspVector:
         """A vector whose keys are comb sequences that fit on ``n >= 1``
         strands and whose values are nonzero Python integers, unchecked."""
         v = object.__new__(cls)
-        for name, value in (("n", n), ("nu", nu), ("order", CLASP_ORDER)):
-            object.__setattr__(v, name, value)
+        object.__setattr__(v, "n", n)
+        object.__setattr__(v, "nu", nu)
         return v
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ClaspVector)
-            and self.n == other.n
-            and self.nu == other.nu
-        )
 
     def __hash__(self) -> int:
         return hash((self.n, tuple(sorted(self.nu.items()))))
@@ -187,14 +181,6 @@ class ClaspVector:
 
     def degree_part(self, degree: int) -> dict[tuple[int, ...], int]:
         return {s: v for s, v in self.nu.items() if len(s) == degree + 1}
-
-    def degree_values(self, degree: int) -> tuple[int, ...]:
-        """Values over all degree-``degree`` combs in enumeration order."""
-        return tuple(
-            self.get(c.sequence)
-            for c in enumerate_comb_claspers(self.n)
-            if c.degree == degree
-        )
 
     def updated(self, changes: dict[tuple[int, ...], int]) -> "ClaspVector":
         """The vector with ``changes`` written over it; only their values and
@@ -211,14 +197,11 @@ class ClaspVector:
                 out.pop(seq, None)
         return ClaspVector._trusted(self.n, out)
 
-    def is_zero(self) -> bool:
-        return not self.nu
-
     def to_json(self) -> dict:
         keys = sorted(self.nu, key=lambda s: (len(s), s))
         return {
             "n": self.n,
-            "order": self.order,
+            "order": CLASP_ORDER,
             "nu": {".".join(map(str, s)): self.nu[s] for s in keys},
         }
 
@@ -227,15 +210,26 @@ class ClaspVector:
         try:
             n = _integer(data["n"])
             order = data.get("order", CLASP_ORDER)
-            nu = {
-                tuple(int(p) for p in key.split(".")): value  # checked by the constructor
-                for key, value in data.get("nu", {}).items()
-            }
+            # checked by the constructor
+            nu = {_comb_of_key(key): value for key, value in data.get("nu", {}).items()}
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise BraidError(f"invalid clasp vector object: {exc}") from exc
         # before anything enumerates combs: there are ~10^7 at 12 strands
         admit_strands(n)
-        return cls(n, nu, order)
+        if order != CLASP_ORDER:
+            raise BraidError(f"unsupported clasper order {order!r}")
+        return cls(n, nu)
+
+
+def _comb_of_key(key: str) -> tuple[int, ...]:
+    """The sequence of a key written as :meth:`ClaspVector.to_json` writes it.
+    ``int()`` also reads ``"01"``, ``" 1"``, ``"+1"``, ``"1_0"`` and non-ASCII
+    digits, so two keys could name one comb and merge: any spelling but the
+    written one raises ValueError."""
+    seq = tuple(int(p) for p in key.split("."))
+    if ".".join(map(str, seq)) != key:
+        raise ValueError(f"comb key {key!r} is not written as {'.'.join(map(str, seq))!r}")
+    return seq
 
 
 def _integer(value: object) -> int:
@@ -330,8 +324,10 @@ def comb_power_product(factors: list[tuple[CombClasper, int]], n: int, x: np.nda
     consecutive factors of one degree d with ``2d >= n`` is ``I + sum e N``
     and takes one sparse pass through the family of that degree's kernels
     (:func:`_enter_combs`); every other power ``I + e N`` takes its own.
+    Both kinds go to :func:`linkhom.gamma.apply_power_product` with the
+    size of the basis on n strands, which ``x`` must match.
     """
-    from .gamma import _apply_powers
+    from .gamma import apply_power_product
 
     table = _comb_table(n)
     try:
@@ -339,7 +335,7 @@ def comb_power_product(factors: list[tuple[CombClasper, int]], n: int, x: np.nda
     except KeyError:
         _enter_combs([c for c, _ in factors], n)
         kernels = [(table[c.sequence], e) for c, e in factors]
-    return _apply_powers(kernels, x, (len(enumerate_basic_commutators(n)),))
+    return apply_power_product(kernels, x, len(enumerate_basic_commutators(n)))
 
 
 @dataclass(frozen=True)

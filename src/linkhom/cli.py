@@ -114,10 +114,10 @@ def _build_parser() -> _Parser:
 def _load_vector(path: str) -> ClaspVector:
     try:
         if path == "-":
-            data = json.load(sys.stdin)
+            data = json.load(sys.stdin, object_pairs_hook=_unique_keys)
         else:
             with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
+                data = json.load(handle, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
         # ValueError: malformed JSON, or an integer past the int-to-str
         # digit cap, which stays on while input is parsed
@@ -126,6 +126,17 @@ def _load_vector(path: str) -> ClaspVector:
         return ClaspVector.from_json(data)
     except (BraidError, RankError) as exc:
         raise _DataError(str(exc)) from exc
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refused with ValueError if it repeats a key:
+    ``json.load`` would keep the last value without a word."""
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
 
 
 class _DataError(Exception):

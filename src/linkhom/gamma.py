@@ -293,11 +293,6 @@ def _sparse_product(
     return _summed(size, *(np.concatenate(a) for a in zip(*parts)))
 
 
-def _kernel_steps(kernels: Sequence[SparseKernel]) -> list[tuple]:
-    """The steps of :func:`_run_steps` that apply the kernels' matrices in turn."""
-    return [(kernel.row_sum, kernel, None) for kernel in kernels]
-
-
 def _run_steps(steps: Sequence[tuple], x: np.ndarray) -> np.ndarray:
     """``x`` after ``steps``, first to last, for a vector or a block of any
     width (exact), as a new array.
@@ -475,23 +470,20 @@ def _power_steps(
 
 
 def apply_power_product(
-    factors: list[tuple[UnipotentKernel, int]], x: np.ndarray
-) -> np.ndarray:
-    """``gamma(b_1^e_1 .. b_k^e_k) @ x`` from the kernels of the ``b_i``, last
-    first, as a new array (exact)."""
-    return _apply_powers(factors, x, {kernel.nil.size for kernel, _ in factors})
-
-
-def _apply_powers(
     factors: Sequence[tuple[UnipotentKernel | tuple[_KernelFamily, int], int]],
     x: np.ndarray,
-    sizes: Sequence[int],
+    size: int,
 ) -> np.ndarray:
-    """:func:`apply_power_product` for kernels or family members
-    (:func:`_power_steps`) that act on ``sizes`` basis elements."""
+    """``gamma(b_1^e_1 .. b_k^e_k) @ x`` from the kernels of the ``b_i``, last
+    first, as a new array (exact).
+
+    Each factor's kernel is a :class:`UnipotentKernel` or a member ``(family,
+    k)`` of a :class:`_KernelFamily` (:func:`_power_steps`).  ``x`` is a
+    vector or a block with one row for each of the ``size`` basis elements
+    that the kernels act on, refused with :class:`RankError` otherwise.
+    """
     x = np.asarray(x)
-    for size in sizes:
-        _check_input(x, size)
+    _check_input(x, size)
     return _run_steps(_power_steps(factors), _exact_integers(x))
 
 
@@ -668,7 +660,7 @@ def _apply_word(b: BraidWord, x: np.ndarray, order: str) -> np.ndarray:
     if n <= _PAIR_STRANDS:
         x, letters = _apply_pairs(n, letters, x, order)
     kernels = [generator_matrix(n, i, sign, order) for i, sign in letters]
-    return _run_steps(_kernel_steps(kernels), x)
+    return _run_steps([(kernel.row_sum, kernel, None) for kernel in kernels], x)
 
 
 def _checked_basis(b: BraidWord, basis: CommutatorBasis | None) -> CommutatorBasis:
@@ -847,70 +839,63 @@ def structure_report(m: GammaMatrix, b: BraidWord) -> StructureReport:
     The weight-1 diagonal block must permute the basis like the braid's
     permutation; the weight-2 block must act on index pairs by the same
     permutation, with a sign when the images need reordering.  When the
-    braid is pure every diagonal block must be the identity.
+    braid is pure every diagonal block must be the identity.  Each check
+    is one array comparison: the entries above the diagonal blocks are
+    listed row by row, then each weight-1 and weight-2 column that differs
+    from its expected signed permutation block, then the first diagonal
+    block of a pure braid that is not the identity.
     """
-    basis = m.basis
+    basis, matrix = m.basis, m.matrix
     q = permutation_of(b)
-    violations: list[str] = []
+    weights = np.array([alpha.weight for alpha in basis.elements])
+    above = np.argwhere((matrix != 0) & (weights[:, None] < weights[None, :]))
+    violations = [f"entry ({basis.elements[r]}, {basis.elements[c]}) above the diagonal blocks"
+                  for r, c in above]
 
-    weights = [alpha.weight for alpha in basis.elements]
-    triangular = True
-    for r in range(len(basis)):
-        for c in range(len(basis)):
-            if m.matrix[r, c] != 0 and weights[r] < weights[c]:
-                triangular = False
-                violations.append(
-                    f"entry ({basis.elements[r]}, {basis.elements[c]}) above the diagonal blocks"
-                )
+    def diagonal(weight: int) -> slice:
+        return slice(*np.searchsorted(weights, (weight, weight + 1)))
 
-    perm_ok = True
-    for c in basis.weight_range(1):
-        col = basis.elements[c]
-        expect = BasicCommutator((q(col.sequence[0]),))
-        for r in basis.weight_range(1):
-            want = 1 if basis.elements[r] == expect else 0
-            if m.matrix[r, c] != want:
-                perm_ok = False
-                violations.append(f"weight-1 block at column {col} differs from the permutation")
-                break
+    def differing_columns(weight: int, image) -> list[BasicCommutator]:
+        """The columns of the weight's diagonal block that differ from the
+        block sending each element to ``sign`` times ``target``, for
+        ``image(*alpha.sequence) = (target, sign)``."""
+        block = diagonal(weight)
+        elements = basis.elements[block]
+        expect = np.zeros((len(elements), len(elements)), np.int64)
+        for c, alpha in enumerate(elements):
+            target, sign = image(*alpha.sequence)
+            r = basis.index.get(BasicCommutator(target))
+            if r is not None:  # a braid on more strands can move a strand off the basis
+                expect[r - block.start, c] = sign
+        differs = (matrix[block, block] != expect).any(axis=0)
+        return [elements[c] for c in np.flatnonzero(differs)]
 
-    pair_ok = True
-    for c in basis.weight_range(2):
-        col = basis.elements[c]
-        k, j = col.sequence
+    def pair_image(k: int, j: int) -> tuple[tuple[int, int], int]:
         qk, qj = q(k), q(j)
-        expect = BasicCommutator((qk, qj)) if qk < qj else BasicCommutator((qj, qk))
-        expect_sign = 1 if qk < qj else -1
-        for r in basis.weight_range(2):
-            want = expect_sign if basis.elements[r] == expect else 0
-            if m.matrix[r, c] != want:
-                pair_ok = False
-                violations.append(f"weight-2 block at column {col} differs from the signed pair action")
-                break
+        return ((qk, qj), 1) if qk < qj else ((qj, qk), -1)
+
+    perm_cols = differing_columns(1, lambda k: ((q(k),), 1))
+    violations += [f"weight-1 block at column {col} differs from the permutation" for col in perm_cols]
+    pair_cols = differing_columns(2, pair_image)
+    violations += [f"weight-2 block at column {col} differs from the signed pair action"
+                   for col in pair_cols]
 
     pure = q.is_identity()
     diag_identity: bool | None = None
     if pure:
         diag_identity = True
         for weight in range(1, basis.rank + 1):
-            rng = basis.weight_range(weight)
-            for r in rng:
-                for c in rng:
-                    want = 1 if r == c else 0
-                    if m.matrix[r, c] != want:
-                        diag_identity = False
-                        violations.append(f"weight-{weight} diagonal block is not the identity")
-                        break
-                if diag_identity is False:
-                    break
-            if diag_identity is False:
+            block = diagonal(weight)
+            if not np.array_equal(matrix[block, block], np.eye(block.stop - block.start, dtype=np.int64)):
+                diag_identity = False
+                violations.append(f"weight-{weight} diagonal block is not the identity")
                 break
 
     return StructureReport(
         pure=pure,
-        block_triangular=triangular,
-        permutation_block_ok=perm_ok,
-        pair_block_ok=pair_ok,
+        block_triangular=not len(above),
+        permutation_block_ok=not perm_cols,
+        pair_block_ok=not pair_cols,
         diagonal_blocks_identity=diag_identity,
         violations=violations,
     )

@@ -148,13 +148,6 @@ class MagnusSeries:
     def coefficient(self, mono: Monomial) -> int:
         return self.coefficients.get(tuple(mono), 0)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MagnusSeries)
-            and self.rank == other.rank
-            and self.coefficients == other.coefficients
-        )
-
     def __mul__(self, other: "MagnusSeries") -> "MagnusSeries":
         return series_multiply(self, other)
 
@@ -205,11 +198,6 @@ def series_multiply(a: MagnusSeries, b: MagnusSeries) -> MagnusSeries:
             else:
                 out.pop(mono, None)
     return MagnusSeries(a.rank, out)
-
-
-def series_invert(a: MagnusSeries) -> MagnusSeries:
-    """Inverse of a series with constant term 1: ``a ** -1``."""
-    return a ** -1
 
 
 def binomial(e: int, j: int) -> int:

@@ -64,8 +64,6 @@ def test_comb_enumeration_admits_strands():
     v = ClaspVector(10, {(1, 2): 1})
     with pytest.raises(LimitError, match="limit of 2372"):
         clasp_vector_to_braid(v)
-    with pytest.raises(LimitError, match="limit of 2372"):
-        v.degree_values(1)
     # extraction admits before is_pure() builds a permutation of 10^20 entries
     with pytest.raises(LimitError, match="limit of 2372"):
         extract_clasp_vector(BraidWord(10**20, ((1, 1), (1, 1))))
@@ -167,8 +165,21 @@ def test_clasp_vector_normalisation_and_json():
         ClaspVector(3, {(0, 2): 1})
     with pytest.raises(BraidError, match="strand count must be positive"):
         ClaspVector(0, {})
+    # the comb order is always degree-lex: JSON may name only that one
+    assert ClaspVector.from_json({"n": 3, "order": "degree-lex", "nu": {"1.2": 2}}) == v
     with pytest.raises(BraidError, match="unsupported clasper order"):
-        ClaspVector(3, {}, "lex")
+        ClaspVector.from_json({"n": 3, "order": "lex", "nu": {}})
+
+
+@pytest.mark.parametrize("key", ["01.2", "1.02", " 1.2", "1.2 ", "+1.2", "1_0.2", "\u0661.2", "-0.2",
+                                 "1..2", "1.2."])
+def test_clasp_vector_keys_are_read_only_as_written(key):
+    # int() reads each of these, so "01.2" and "1.2" named one comb and
+    # merged, the last value winning; only the key to_json writes is read
+    with pytest.raises(BraidError, match="invalid clasp vector object"):
+        ClaspVector.from_json({"n": 3, "nu": {key: 1}})
+    with pytest.raises(BraidError, match="invalid clasp vector object"):
+        ClaspVector.from_json({"n": 3, "nu": {"1.2": 1, key: 2}})
 
 
 @pytest.mark.parametrize("value", [1.5, 0.5, 2.0, 0.0, np.float64(2), Fraction(2), "1", True, np.True_],
@@ -404,7 +415,7 @@ def test_huge_comb_powers_are_exact():
     cancels = [gamma.generator_matrix(4, 1, sign, basis.order) for sign in (1, -1)]
     identity = gamma.UnipotentKernel.of_terms([(1, cancels), (-1, ())], 1, basis)
     assert identity.nil.row_sum == 0
-    out = gamma.apply_power_product([(identity, e), (identity, -e)], probe_block(4))
+    out = gamma.apply_power_product([(identity, e), (identity, -e)], probe_block(4), 24)
     assert out.dtype == np.int64 and out.tolist() == probe_block(4).tolist()
 
 
@@ -413,7 +424,7 @@ def test_comb_powers_refuse_inputs_off_the_basis():
     for rows in (23, 25):
         for x in (np.zeros(rows, np.int64), np.zeros((rows, 2), np.int64)):
             with pytest.raises(RankError, match="does not match basis size 24"):
-                gamma.apply_power_product([(kernel, 1)], x)
+                gamma.apply_power_product([(kernel, 1)], x, 24)
             with pytest.raises(RankError, match="does not match basis size 24"):
                 comb_power_product([(CombClasper((1, 2)), 1)], 4, x)
     # inputs must hold integers: floats would be truncated or come back as
@@ -423,14 +434,14 @@ def test_comb_powers_refuse_inputs_off_the_basis():
     refused = [probes.astype(dtype) for dtype in (np.float64, np.float32, np.complex128, np.str_)]
     for x in refused + [np.full(probes.shape, 0.5, dtype=object)]:
         with pytest.raises(TypeError, match="is not integer"):
-            gamma.apply_power_product([(kernel, 1)], x)
+            gamma.apply_power_product([(kernel, 1)], x, 24)
         with pytest.raises(TypeError, match="is not integer"):
             comb_power_product([(CombClasper((1, 2)), 1)], 4, x)
     matrix = gamma_matrix(comb_clasper_braid(CombClasper((1, 2)), 4)).matrix.astype(object)
     huge = probes.astype(np.uint64) * np.uint64(2**63 + 1)
     for x in (probes.astype(bool), probes.astype(np.uint8), probes.astype(np.int32), huge):
         expect = (matrix @ x.astype(object)).tolist()
-        for out in (gamma.apply_power_product([(kernel, 1)], x),
+        for out in (gamma.apply_power_product([(kernel, 1)], x, 24),
                     comb_power_product([(CombClasper((1, 2)), 1)], 4, x)):
             assert out.dtype == (object if x is huge else np.int64) and out.tolist() == expect
     # an object array's numpy integers are taken as Python integers, so
@@ -438,7 +449,7 @@ def test_comb_powers_refuse_inputs_off_the_basis():
     eye = np.eye(24, dtype=np.int64).astype(object)
     expect = (2**62 * (eye + 2 * (matrix - eye))).tolist()
     big = np.array([[np.int64(2**62 * (i == j)) for j in range(24)] for i in range(24)], object)
-    assert gamma.apply_power_product([(kernel, 2)], big).tolist() == expect
+    assert gamma.apply_power_product([(kernel, 2)], big, 24).tolist() == expect
     assert comb_power_product([(CombClasper((1, 2)), 2)], 4, big).tolist() == expect
 
 

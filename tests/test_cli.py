@@ -422,6 +422,22 @@ def test_data_errors(capsys, tmp_path):
             assert err.count("\n") == 1 and "below 1" in err
 
 
+def test_vectors_with_two_keys_for_one_comb_are_data_errors(capsys, tmp_path):
+    # both used to run with exit 0: "01.2" merged into "1.2", and json.load
+    # kept the last of two equal keys
+    path = tmp_path / "v.json"
+    texts = ['{"n": 3, "nu": {"1.2": 1, "01.2": 2}}', '{"n": 3, "nu": {"1.2": 1, "1.2": 2}}',
+             '{"n": 3, "nu": {"1.2": 1}, "n": 4}']
+    for text, reason in zip(texts, ("'01.2' is not written as '1.2'", "repeated key '1.2'",
+                                    "repeated key 'n'")):
+        path.write_text(text)
+        for argv in (("build", str(path)), ("pc", str(path), "-i", "1", "-j", "3"),
+                     ("closure-eq", str(path), str(path))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (65, "")
+            assert err.count("\n") == 1 and reason in err
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "gamma", "-n", "3", "s1 s2 s1^-1", "--format", "json")
     _, out2, _ = run(capsys, "gamma", "-n", "3", "s1 s2 s1^-1", "--format", "json")

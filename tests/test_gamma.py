@@ -13,6 +13,8 @@ from linkhom.braids import (
     BraidError,
     BraidWord,
     CertificationError,
+    Permutation,
+    PureGenerator,
     compose,
     free_reduce,
     parse_braid_word,
@@ -23,7 +25,6 @@ from linkhom.gamma import (
     SparseKernel,
     UnipotentKernel,
     _certified_inverse,
-    _kernel_steps,
     _max_abs,
     _run_steps,
     _sparse_product,
@@ -44,7 +45,14 @@ from linkhom.claspers import (
     enumerate_comb_claspers,
     extract_clasp_vector,
 )
-from linkhom.reduced_free import ORDER_TAGS, BasicCommutator, RankError, enumerate_basic_commutators
+from linkhom.reduced_free import (
+    ORDER_TAGS,
+    BasicCommutator,
+    MagnusSeries,
+    RankError,
+    ReducedWord,
+    enumerate_basic_commutators,
+)
 from conftest import exact_determinant, random_braid, random_clasp_vector, random_pure_braid
 
 # Golden 8x8 matrices of the two generators on three strands, basis order
@@ -107,6 +115,11 @@ def test_generator_kernel_has_one_cache_key():
     after = gm.cache_info()
     assert after.currsize == before.currsize
     assert after.hits == before.hits + 1
+
+
+def _kernel_steps(kernels):
+    """The steps of ``_run_steps`` that apply the kernels' matrices in turn."""
+    return [(kernel.row_sum, kernel, None) for kernel in kernels]
 
 
 def test_derived_inverse_at_seven_strands():
@@ -792,7 +805,7 @@ def test_only_a_later_chunk_turns_to_python_integers(monkeypatch, n, text):
         kernel = comb_kernel(c, n)
         nil = gamma_matrix(comb_clasper_braid(c, n)).matrix - np.eye(len(basis), dtype=np.int64)
         matrix = np.eye(len(basis), dtype=np.int64).astype(object) + e * nil.astype(object)
-        apply = lambda y: gamma.apply_power_product([(kernel, e)], y)
+        apply = lambda y: gamma.apply_power_product([(kernel, e)], y, len(basis))
     else:
         word = parse_braid_word(text, n)
         matrix = dense_chain(word, basis).astype(object)
@@ -905,7 +918,7 @@ def test_results_never_share_the_input():
     top[-1] = 1
     for factors in ([], [(kernel, 0)], [(kernel, 3)]):
         for x in (top, top[:, None], np.ones((24, 2), dtype=np.int64) * top[:, None]):
-            out = gamma.apply_power_product(factors, x)
+            out = gamma.apply_power_product(factors, x, 24)
             assert out.tolist() == x.tolist() and not np.shares_memory(out, x)
 
 
@@ -1042,6 +1055,70 @@ def test_structure_report_flags_each_corruption():
     assert not report.ok and report.diagonal_blocks_identity is False
     assert report.block_triangular and report.permutation_block_ok and report.pair_block_ok
     assert report.violations == ["weight-3 diagonal block is not the identity"]
+
+
+def test_structure_report_lists_several_violations_in_order():
+    # corruptions listed out of row-major order; the report lists entries
+    # row by row, then weight-1 columns, then weight-2 columns, then the
+    # first diagonal block of a pure braid that is not the identity
+    expect = [
+        "entry ((1), (3,4)) above the diagonal blocks",
+        "entry ((1,3), (1,3,2)) above the diagonal blocks",
+        "weight-1 block at column (2) differs from the permutation",
+        "weight-2 block at column (2,4) differs from the signed pair action",
+    ]
+    for text, pure in (("s1 s2", False), ("a1,2", True)):
+        word = parse_braid_word(text, 4)
+        m = gamma_matrix(word)
+        w1, w2, w3 = (m.basis.weight_range(w).start for w in (1, 2, 3))
+        cells = [(w2 + 1, w3 + 2), (w2, w2 + 4), (w1 + 3, w1 + 1), (w1, w2 + 5), (w3, w3 + 1)]
+        matrix = m.matrix.copy()
+        for r, c in cells:
+            matrix[r, c] += 2
+        report = structure_report(GammaMatrix(m.basis, matrix), word)
+        assert report.pure is pure and not report.ok
+        assert not (report.block_triangular or report.permutation_block_ok or report.pair_block_ok)
+        if pure:  # weight 1 comes first; the weight-3 block is not reported
+            assert report.diagonal_blocks_identity is False
+            assert report.violations == expect + ["weight-1 diagonal block is not the identity"]
+        else:
+            assert report.diagonal_blocks_identity is None
+            assert report.violations == expect
+
+
+_BASIS3 = enumerate_basic_commutators(3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: PureGenerator(2, 1), BraidError, "needs 1 <= i < j"),
+    (lambda: BraidWord(0), BraidError, "strand count must be positive"),
+    (lambda: Permutation((1, 2)) * Permutation((1, 2, 3)), BraidError, "size mismatch"),
+    (lambda: comb_clasper_braid(CombClasper((1, 5)), 3), BraidError, "does not fit on 3 strands"),
+    (lambda: enumerate_basic_commutators(0), RankError, "rank must be positive"),
+    (lambda: BasicCommutator(()), RankError, "empty commutator sequence"),
+    (lambda: ReducedWord(0), RankError, "rank must be positive"),
+    (lambda: ReducedWord(2, ((3, 1),)), RankError, "index 3 out of range for rank 2"),
+    (lambda: ReducedWord(2, ((1, 2),)), RankError, "sign must be"),
+    (lambda: ReducedWord(2) * ReducedWord(3), RankError, "rank mismatch: 2 != 3"),
+    (lambda: MagnusSeries(2, {(3,): 1}), RankError, r"monomial \(3,\) out of range for rank 2"),
+    (lambda: GammaMatrix(_BASIS3, np.eye(4, dtype=np.int64)), RankError,
+     r"shape \(4, 4\) does not match basis size 8"),
+    (lambda: gamma_generator_closed_form(1, BasicCommutator((1, 4)), 3), RankError,
+     r"commutator \(1, 4\) out of range for rank 3"),
+    (lambda: UnipotentKernel.of_terms([], 0, _BASIS3), BraidError, "reach 0 out of range for 3"),
+    (lambda: UnipotentKernel.of_terms([], 3, _BASIS3), BraidError, "reach 3 out of range for 3"),
+], ids=["pure-generator", "braid-word", "permutation-sizes", "comb-braid", "basis",
+        "commutator", "reduced-word-rank", "reduced-word-index", "reduced-word-sign",
+        "reduced-word-ranks", "magnus-monomial", "gamma-matrix-shape", "closed-form",
+        "reach-0", "reach-n"])
+def test_malformed_arguments_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_max_abs_of_an_empty_array_is_zero():
+    assert _max_abs(np.zeros(0, np.int64)) == 0
+    assert _max_abs(np.zeros((24, 0), object)) == 0
 
 
 def test_generator_matrix_refuses_index_and_sign():

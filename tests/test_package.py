@@ -25,7 +25,7 @@ PUBLIC_NAMES = (
     "gamma_matrix_definitional", "get_row", "infer_strands", "invert", "magnus_expand",
     "milnor_triplet", "move_tables", "parse_braid_word", "parse_reduced_word",
     "partial_conjugate", "permutation_of", "pure_generator_word", "read_clasp_numbers",
-    "replay_witness", "rfg_equal", "rfg_normal_form", "series_invert", "series_multiply",
+    "replay_witness", "rfg_equal", "rfg_normal_form", "series_multiply",
     "structure_report", "unparse_braid_word", "weight_size_formula",
 )
 GAMMA_NAMES = (

@@ -23,7 +23,6 @@ from linkhom.reduced_free import (
     parse_reduced_word,
     rfg_equal,
     rfg_normal_form,
-    series_invert,
     series_multiply,
     weight_size_formula,
 )
@@ -63,25 +62,25 @@ def test_series_multiply_rank_mismatch():
 
 
 def test_series_invert_small():
-    assert series_invert(MagnusSeries.one(3)) == MagnusSeries.one(3)
+    assert MagnusSeries.one(3) ** -1 == MagnusSeries.one(3)
     a = MagnusSeries(1, {(): 1, (1,): 1})
-    assert series_invert(a).coefficients == {(): 1, (1,): -1}
+    assert (a ** -1).coefficients == {(): 1, (1,): -1}
     b = MagnusSeries(2, {(): 1, (1,): 1, (2,): 1, (1, 2): 1})
-    assert series_invert(b).coefficients == {(): 1, (1,): -1, (2,): -1, (2, 1): 1}
+    assert (b ** -1).coefficients == {(): 1, (1,): -1, (2,): -1, (2, 1): 1}
 
 
 def test_series_invert_is_inverse(rng):
     for _ in range(25):
         w = random_word(rng, 4, rng.randint(0, 10))
         series = magnus_expand(w)
-        assert series_multiply(series, series_invert(series)).is_one()
-        assert series_multiply(series_invert(series), series).is_one()
-        assert all(type(v) is int for v in series_invert(series).coefficients.values())
+        assert series_multiply(series, series ** -1).is_one()
+        assert series_multiply(series ** -1, series).is_one()
+        assert all(type(v) is int for v in (series ** -1).coefficients.values())
 
 
 def test_series_invert_needs_unit():
     with pytest.raises(RankError):
-        series_invert(MagnusSeries(2, {(): 2}))
+        MagnusSeries(2, {(): 2}) ** -1
 
 
 def repeated_product(a, e):
@@ -117,7 +116,7 @@ def test_power_is_the_repeated_product(a):
 @given(square_free_series(constants=(1,)), st.integers(1, 6))
 def test_negative_power_inverts(a, e):
     inverse = a ** -e
-    assert inverse == series_invert(a) ** e
+    assert inverse == (a ** -1) ** e
     assert all(type(v) is int for v in inverse.coefficients.values())
     assert series_multiply(a ** e, inverse).is_one()
 
