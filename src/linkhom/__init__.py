@@ -45,10 +45,8 @@ from .reduced_free import (
     enumerate_basic_commutators,
     magnus_expand,
     parse_reduced_word,
-    rfg_equal,
     rfg_normal_form,
     series_multiply,
-    weight_size_formula,
 )
 from .claspers import (
     ClaspVector,
@@ -67,7 +65,6 @@ from .closure import (
     apply_table_move,
     closure_equivalent,
     get_row,
-    milnor_triplet,
     move_tables,
     partial_conjugate,
     replay_witness,
@@ -80,13 +77,10 @@ __version__ = "0.1.0"
 # current bindings.
 _GAMMA_NAMES = frozenset({
     "GammaMatrix",
-    "StructureReport",
     "braid_equal_lh",
     "closed_form_generator_matrix",
     "gamma_generator_closed_form",
     "gamma_matrix",
-    "gamma_matrix_definitional",
-    "structure_report",
 })
 
 

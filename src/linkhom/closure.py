@@ -49,7 +49,7 @@ from .claspers import (
     enumerate_comb_claspers,
     read_clasp_numbers,
 )
-from .intlattice import IntegerLattice, gcd_all
+from .intlattice import IntegerLattice
 from .reduced_free import binomial
 
 EQUIVALENT = "equivalent"
@@ -267,21 +267,6 @@ def get_row(table: str, row: int, n: int | None = None) -> MoveRow:
     if n is not None and found.n != n:
         raise BraidError(f"table {table} is for n={found.n}, not n={n}")
     return found
-
-
-# ---------------------------------------------------------------------------
-# Complete invariants for at most 3 strands.
-
-
-def milnor_triplet(v: ClaspVector) -> tuple[tuple[int, int, int], int]:
-    """Complete 3-component closure invariant: degree-1 values and the
-    triple number reduced modulo their gcd (kept exact when the gcd is 0)."""
-    if v.n != 3:
-        raise BraidError(f"triple invariant needs n=3, got n={v.n}")
-    d1 = (v.get((1, 2)), v.get((1, 3)), v.get((2, 3)))
-    g = gcd_all(d1)
-    t = v.get((1, 2, 3))
-    return d1, (t % g if g else t)
 
 
 # ---------------------------------------------------------------------------

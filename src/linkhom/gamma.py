@@ -8,35 +8,32 @@ exponent vector of the action of ``b`` on the commutator word of
 ``alpha``.  Columns are images, so matrices compose in braid order:
 ``gamma(a b) = gamma(a) @ gamma(b)``.
 
-Two roads to the generator matrices exist and are kept strictly apart so
-they can check each other:
+The generator matrices come from a closed form
+(:func:`gamma_generator_closed_form`): a seven-way case split on where i
+and i+1 sit inside the index sequence, including the signed sum over
+reversed subsequences when i leads and i+1 follows.
+:func:`generator_matrix` builds sigma_i from it, derives sigma_i^-1
+exactly as ``sigma_i (sigma_i^2)^-1 = 2 sigma_i - sigma_i^3``, and caches
+both as :class:`SparseKernel`.  :func:`gamma_apply` freely reduces the
+word, then applies it from its last letter to a vector or a block: on at
+most five strands the whole block takes two letters at a time, by one
+float64 product with the cached dense matrix of each pair, while a bound
+keeps every value below 2**53; on more strands, and for the rest of a
+word once that bound fails, letter by letter through the kernels,
+``_NARROW`` columns at a time.
 
-* the closed form (:func:`gamma_generator_closed_form`): a seven-way case
-  split on where i and i+1 sit inside the index sequence, including the
-  signed sum over reversed subsequences when i leads and i+1 follows.
-  This is the production route: :func:`generator_matrix` builds sigma_i
-  from it, derives sigma_i^-1 exactly as ``sigma_i (sigma_i^2)^-1 = 2
-  sigma_i - sigma_i^3``, and caches both as :class:`SparseKernel`.
-  :func:`gamma_apply` freely reduces the word, then applies it from its
-  last letter to a vector or a block: on at most five strands the whole
-  block takes two letters at a time, by one float64 product with the
-  cached dense matrix of each pair, while a bound keeps every value below
-  2**53; on more strands, and for the rest of a word once that bound
-  fails, letter by letter through the kernels, ``_NARROW`` columns at a
-  time;
-* the definitional route (:func:`gamma_matrix_definitional`): act on each
-  basis commutator word, then take the normal form; it is the oracle the
-  tests compare the closed form against.
-
-Equality of the two on every basis element is an acceptance requirement,
-not an implementation detail.
+The definition itself, acting on each basis commutator word and taking
+the normal form, is not in this module: it lives with the tests
+(``tests/word_oracle.py``), which require it to equal the closed form on
+every basis element, so this layer never reads the word-level normal
+form.
 
 Equality of braids (:func:`braid_equal_lh`) is decided on the probe
 block ``P = [(2) .. (n)]`` of weight-one columns alone: its weight-one
 rows fix the permutation, and for a pure braid ``gamma(b) @ P`` fixes
 the clasp numbers, a complete invariant.  The full matrix
-(:func:`gamma_matrix`) is formed only for ``linkhom gamma`` and as the
-test oracle.
+(:func:`gamma_matrix`) is formed only for ``linkhom gamma`` and in the
+tests.
 
 A braid in the d-th lower central series term of the pure braid group,
 such as a comb braid of degree d, has ``gamma(b) = I + N`` with ``N``
@@ -79,20 +76,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .braids import BraidWord, BraidError, CertificationError, Letter, free_reduce, permutation_of
-from .reduced_free import (  # the size limit is re-exported from here
-    MAX_BASIS_SIZE,
-    MAX_STRANDS,
-    BasicCommutator,
-    CommutatorBasis,
-    LimitError,
-    RankError,
-    admit_strands,
-    artin_act,
-    commutator_word,
-    enumerate_basic_commutators,
-    rfg_normal_form,
-)
+from .braids import BraidWord, BraidError, CertificationError, Letter, free_reduce
+from .reduced_free import BasicCommutator, CommutatorBasis, RankError, enumerate_basic_commutators
 
 _INT64_SAFE = 2**62
 # float64 holds every integer of absolute value up to this exactly (IEEE 754).
@@ -525,11 +510,6 @@ class GammaMatrix:
         }
 
 
-def _definitional_column(b: BraidWord, alpha: BasicCommutator, basis: CommutatorBasis) -> list[int]:
-    image = artin_act(b, commutator_word(basis.rank, alpha.sequence))
-    return list(rfg_normal_form(image, basis).values)
-
-
 def _certified_inverse(plus: SparseKernel, basis: CommutatorBasis) -> SparseKernel:
     """Exact inverse of a generator matrix ``G``, as ``G (G^2)^-1 = 2G - G^3``.
 
@@ -679,20 +659,6 @@ def gamma_matrix(b: BraidWord, basis: CommutatorBasis | None = None) -> GammaMat
     return GammaMatrix(basis, _apply_word(b, np.eye(len(basis), dtype=np.int64), basis.order))
 
 
-def gamma_matrix_definitional(b: BraidWord, basis: CommutatorBasis | None = None) -> GammaMatrix:
-    """Matrix computed column by column from the action of the whole word.
-
-    Exponentially slower than :func:`gamma_matrix` on long words; kept as the
-    independent oracle for the closed form and the homomorphism property.
-    """
-    basis = _checked_basis(b, basis)
-    m = len(basis)
-    mat = np.zeros((m, m), dtype=np.int64)
-    for c, alpha in enumerate(basis.elements):
-        mat[:, c] = _definitional_column(b, alpha, basis)
-    return GammaMatrix(basis, mat)
-
-
 def gamma_apply(b: BraidWord, vector: np.ndarray, basis: CommutatorBasis) -> np.ndarray:
     """gamma(b) @ vector without forming the product matrix (exact), as a new array."""
     basis = _checked_basis(b, basis)
@@ -812,90 +778,3 @@ def closed_form_generator_matrix(n: int, i: int, order: str = "weight-lex") -> n
     of the kernel that :func:`generator_matrix` builds from its entries."""
     return _dense(generator_matrix(n, i, 1, order))
 
-
-# ---------------------------------------------------------------------------
-# Structural verification.
-
-
-@dataclass
-class StructureReport:
-    """Outcome of the shape checks on a braid's matrix."""
-
-    pure: bool
-    block_triangular: bool
-    permutation_block_ok: bool
-    pair_block_ok: bool
-    diagonal_blocks_identity: bool | None
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def structure_report(m: GammaMatrix, b: BraidWord) -> StructureReport:
-    """Verify block triangularity by weight and the two leading diagonal blocks.
-
-    The weight-1 diagonal block must permute the basis like the braid's
-    permutation; the weight-2 block must act on index pairs by the same
-    permutation, with a sign when the images need reordering.  When the
-    braid is pure every diagonal block must be the identity.  Each check
-    is one array comparison: the entries above the diagonal blocks are
-    listed row by row, then each weight-1 and weight-2 column that differs
-    from its expected signed permutation block, then the first diagonal
-    block of a pure braid that is not the identity.
-    """
-    basis, matrix = m.basis, m.matrix
-    q = permutation_of(b)
-    weights = np.array([alpha.weight for alpha in basis.elements])
-    above = np.argwhere((matrix != 0) & (weights[:, None] < weights[None, :]))
-    violations = [f"entry ({basis.elements[r]}, {basis.elements[c]}) above the diagonal blocks"
-                  for r, c in above]
-
-    def diagonal(weight: int) -> slice:
-        return slice(*np.searchsorted(weights, (weight, weight + 1)))
-
-    def differing_columns(weight: int, image) -> list[BasicCommutator]:
-        """The columns of the weight's diagonal block that differ from the
-        block sending each element to ``sign`` times ``target``, for
-        ``image(*alpha.sequence) = (target, sign)``."""
-        block = diagonal(weight)
-        elements = basis.elements[block]
-        expect = np.zeros((len(elements), len(elements)), np.int64)
-        for c, alpha in enumerate(elements):
-            target, sign = image(*alpha.sequence)
-            r = basis.index.get(BasicCommutator(target))
-            if r is not None:  # a braid on more strands can move a strand off the basis
-                expect[r - block.start, c] = sign
-        differs = (matrix[block, block] != expect).any(axis=0)
-        return [elements[c] for c in np.flatnonzero(differs)]
-
-    def pair_image(k: int, j: int) -> tuple[tuple[int, int], int]:
-        qk, qj = q(k), q(j)
-        return ((qk, qj), 1) if qk < qj else ((qj, qk), -1)
-
-    perm_cols = differing_columns(1, lambda k: ((q(k),), 1))
-    violations += [f"weight-1 block at column {col} differs from the permutation" for col in perm_cols]
-    pair_cols = differing_columns(2, pair_image)
-    violations += [f"weight-2 block at column {col} differs from the signed pair action"
-                   for col in pair_cols]
-
-    pure = q.is_identity()
-    diag_identity: bool | None = None
-    if pure:
-        diag_identity = True
-        for weight in range(1, basis.rank + 1):
-            block = diagonal(weight)
-            if not np.array_equal(matrix[block, block], np.eye(block.stop - block.start, dtype=np.int64)):
-                diag_identity = False
-                violations.append(f"weight-{weight} diagonal block is not the identity")
-                break
-
-    return StructureReport(
-        pure=pure,
-        block_triangular=not len(above),
-        permutation_block_ok=not perm_cols,
-        pair_block_ok=not pair_cols,
-        diagonal_blocks_identity=diag_identity,
-        violations=violations,
-    )

@@ -22,7 +22,6 @@ Everything here is plain Python integer arithmetic; no floating point.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -145,9 +144,3 @@ def kernel_basis(rows: Sequence[Sequence[int]], dim: int) -> list[Vector]:
     """
     return [tuple(c) for c in IntegerLattice(dim, rows).kernel]
 
-
-def gcd_all(values: Iterable[int]) -> int:
-    out = 0
-    for v in values:
-        out = gcd(out, abs(int(v)))
-    return out

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
@@ -44,6 +45,8 @@ from .braids import BraidError, BraidWord, CertificationError, free_reduce
 
 Monomial = tuple[int, ...]
 Letter = tuple[int, int]
+
+_REDUCED_TOKEN = re.compile(r"^x(\d+)(\^-1)?$")
 
 
 class RankError(ValueError):
@@ -106,10 +109,10 @@ def parse_reduced_word(text: str, rank: int | None = None) -> ReducedWord:
     tokens = text.split()
     letters: list[Letter] = []
     for token in tokens:
-        body, _, exp = token.partition("^")
-        if not body.startswith("x") or not body[1:].isdigit() or exp not in ("", "-1"):
+        m = _REDUCED_TOKEN.match(token)
+        if not m:
             raise RankError(f"malformed token {token!r}")
-        letters.append((int(body[1:]), -1 if exp else 1))
+        letters.append((int(m.group(1)), -1 if m.group(2) else 1))
     if rank is None:
         rank = max([1] + [idx for idx, _ in letters])
     for token, (idx, _) in zip(tokens, letters):
@@ -334,13 +337,6 @@ def basis_size_formula(n: int) -> int:
     )
 
 
-def weight_size_formula(n: int, weight: int) -> int:
-    """Number of basic commutators of a given weight: sum of k!/(k-w+1)!."""
-    return sum(
-        math.factorial(k) // math.factorial(k - weight + 1) for k in range(weight - 1, n)
-    )
-
-
 # The representation is admitted up to 7 strands, a basis of 2372.  At 8
 # strands (16072) one dense matrix alone takes 2 GB.
 MAX_STRANDS = 7
@@ -398,13 +394,6 @@ class ExponentVector:
     def is_zero(self) -> bool:
         return not any(self.values)
 
-    def to_word(self) -> ReducedWord:
-        word = ReducedWord.identity(self.basis.rank)
-        for alpha, e in zip(self.basis.elements, self.values):
-            if e:
-                word = word * commutator_word(self.basis.rank, alpha.sequence) ** e
-        return word
-
     def nonzero(self) -> Iterator[tuple[BasicCommutator, int]]:
         for alpha, v in zip(self.basis.elements, self.values):
             if v:
@@ -416,15 +405,6 @@ class ExponentVector:
             "order": self.basis.order,
             "coefficients": {a.key(): v for a, v in self.nonzero()},
         }
-
-
-def exponent_vector_from_dict(
-    basis: CommutatorBasis, values: dict[tuple[int, ...], int]
-) -> ExponentVector:
-    out = [0] * len(basis)
-    for seq, v in values.items():
-        out[basis.index_of(BasicCommutator(tuple(seq)))] = v
-    return ExponentVector(basis, tuple(out))
 
 
 def rfg_normal_form(w: ReducedWord, basis: CommutatorBasis | None = None) -> ExponentVector:
@@ -453,13 +433,6 @@ def rfg_normal_form(w: ReducedWord, basis: CommutatorBasis | None = None) -> Exp
     if not residual.is_one():
         raise CertificationError("peeling left a nontrivial residual series")
     return ExponentVector(basis, tuple(values))
-
-
-def rfg_equal(u: ReducedWord, v: ReducedWord) -> bool:
-    """Equality in RF_n, decided through the unique normal form."""
-    if u.rank != v.rank:
-        raise RankError(f"rank mismatch: {u.rank} != {v.rank}")
-    return rfg_normal_form(u).values == rfg_normal_form(v).values
 
 
 # ---------------------------------------------------------------------------

@@ -26,18 +26,13 @@ from linkhom.closure import (
     PartialConjugation,
     apply_table_move,
     closure_equivalent,
-    milnor_triplet,
     move_tables,
     partial_conjugate,
     replay_witness,
     _degree_seqs,
     _increment_vector,
 )
-from linkhom.gamma import (
-    gamma_matrix,
-    gamma_matrix_definitional,
-    structure_report,
-)
+from linkhom.gamma import gamma_matrix
 from linkhom.intlattice import IntegerLattice
 from linkhom.reduced_free import (
     ORDER_TAGS,
@@ -49,6 +44,7 @@ from linkhom.reduced_free import (
 )
 from conftest import random_braid, random_clasp_vector, random_pure_braid
 from test_gamma import GOLD_SIGMA1, GOLD_SIGMA2
+from word_oracle import gamma_matrix_definitional, milnor_triplet, structure_report
 
 
 class timer:

@@ -26,8 +26,8 @@ from linkhom.claspers import (
     extract_clasp_vector,
     read_clasp_numbers,
 )
-from linkhom.gamma import LimitError, braid_equal_lh, gamma_apply, gamma_matrix, probe_block
-from linkhom.reduced_free import BasicCommutator, RankError, enumerate_basic_commutators
+from linkhom.gamma import braid_equal_lh, gamma_apply, gamma_matrix, probe_block
+from linkhom.reduced_free import BasicCommutator, LimitError, RankError, enumerate_basic_commutators
 from conftest import random_clasp_vector, random_pure_braid
 from word_oracle import word_extract_clasp_vector
 

@@ -99,6 +99,14 @@ def test_reduced_words_infer_their_rank(capsys):
     assert run(capsys, "nf", "x1^2")[0] == 64
 
 
+@pytest.mark.parametrize("argv", [("nf", "x\u00b2"), ("magnus", "x1 x\u00b2"),
+                                  ("act", "s1", "x\u00b2"), ("act", "-n", "3", "s1", "x\u00b2")])
+def test_superscript_digits_in_reduced_words_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and not out
+    assert "malformed token" in err
+
+
 def test_nf_json_values_are_integers(capsys):
     # x2^2000 x1^2000: the exponent of (1,2) is read off a power of -2000
     long_word = " ".join(["x2"] * 2000 + ["x1"] * 2000)

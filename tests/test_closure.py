@@ -22,7 +22,6 @@ from linkhom.closure import (
     apply_table_move,
     closure_equivalent,
     get_row,
-    milnor_triplet,
     move_tables,
     partial_conjugate,
     replay_witness,
@@ -33,7 +32,7 @@ from linkhom.closure import (
 )
 from linkhom.intlattice import IntegerLattice
 from conftest import PAST_CAP_PAIRS, past_cap_pair, random_clasp_vector
-from word_oracle import word_partial_conjugate
+from word_oracle import milnor_triplet, word_partial_conjugate
 
 TABLES = move_tables()
 

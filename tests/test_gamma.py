@@ -33,9 +33,7 @@ from linkhom.gamma import (
     gamma_apply,
     gamma_generator_closed_form,
     gamma_matrix,
-    gamma_matrix_definitional,
     probe_block,
-    structure_report,
 )
 from linkhom.claspers import (
     CombClasper,
@@ -47,13 +45,17 @@ from linkhom.claspers import (
 )
 from linkhom.reduced_free import (
     ORDER_TAGS,
+    MAX_BASIS_SIZE,
     BasicCommutator,
+    LimitError,
     MagnusSeries,
     RankError,
     ReducedWord,
+    admit_strands,
     enumerate_basic_commutators,
 )
 from conftest import exact_determinant, random_braid, random_clasp_vector, random_pure_braid
+from word_oracle import gamma_matrix_definitional, structure_report
 
 # Golden 8x8 matrices of the two generators on three strands, basis order
 # (1),(2),(3),(12),(13),(23),(123),(132); columns are images.
@@ -923,8 +925,6 @@ def test_results_never_share_the_input():
 
 
 def test_admission_limit():
-    from linkhom.gamma import LimitError, MAX_BASIS_SIZE, admit_strands
-
     assert MAX_BASIS_SIZE == 2372
     admit_strands(7)
     for n in (8, 9, 10**9):
@@ -1009,6 +1009,15 @@ def test_structure_identity():
     word = BraidWord.identity(4)
     report = structure_report(gamma_matrix(word), word)
     assert report.ok and report.pure and report.diagonal_blocks_identity
+
+
+def test_structure_report_refuses_a_braid_of_another_rank():
+    # fewer strands than the basis, and more
+    for matrix_word, word in (("s1", 4), ("s1", 3)), (("s1", 3), ("s3", 4)):
+        m = gamma_matrix(parse_braid_word(*matrix_word))
+        braid = parse_braid_word(*word)
+        with pytest.raises(RankError, match=f"rank mismatch: braid {word[1]}, basis {m.basis.rank}"):
+            structure_report(m, braid)
 
 
 def test_structure_random(rng):

@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from linkhom.intlattice import IntegerLattice, gcd_all, kernel_basis
+from linkhom.intlattice import IntegerLattice, kernel_basis
 from conftest import exact_determinant
 
 
@@ -100,7 +101,7 @@ def test_kernel_random(rng=None):
         dim = rnd.randint(1, 4)
         base = [tuple(rnd.randint(-5, 5) for _ in range(dim)) for _ in range(rnd.randint(1, 5))]
         a = [rnd.randint(-4, 4) for _ in base]
-        if gcd_all(a) != 1:
+        if math.gcd(*a) != 1:
             continue
         rows = base + [tuple(sum(c * r[j] for c, r in zip(a, base)) for j in range(dim))]
         assert (*a, -1) in IntegerLattice(len(rows), kernel_basis(rows, dim))
@@ -137,10 +138,3 @@ def test_exact_determinant():
         assert exact_determinant(m) == round(np.linalg.det(np.array(m, dtype=float)))
     with pytest.raises(ValueError):
         exact_determinant([[1, 2]])
-
-
-def test_gcd_all():
-    assert gcd_all([4, 6, 0]) == 2
-    assert gcd_all([]) == 0
-    assert gcd_all([0, 0]) == 0
-    assert gcd_all([-3, 6]) == 3

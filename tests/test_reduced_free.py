@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -17,20 +18,44 @@ from linkhom.reduced_free import (
     binomial,
     commutator_word,
     enumerate_basic_commutators,
-    exponent_vector_from_dict,
     group_commutator,
     magnus_expand,
     parse_reduced_word,
-    rfg_equal,
     rfg_normal_form,
     series_multiply,
-    weight_size_formula,
 )
 from conftest import random_braid
 
 
 def x(rank, k, sign=1):
     return ReducedWord.generator(rank, k, sign)
+
+
+def rfg_equal(u, v):
+    """Equality in RF_n, decided through the unique normal form."""
+    if u.rank != v.rank:
+        raise RankError(f"rank mismatch: {u.rank} != {v.rank}")
+    return rfg_normal_form(u).values == rfg_normal_form(v).values
+
+
+def weight_size_formula(n, weight):
+    """Number of basic commutators of a given weight: sum of k!/(k-w+1)!."""
+    return sum(math.factorial(k) // math.factorial(k - weight + 1) for k in range(weight - 1, n))
+
+
+def exponent_vector_from_dict(basis, values):
+    out = [0] * len(basis)
+    for seq, v in values.items():
+        out[basis.index_of(BasicCommutator(tuple(seq)))] = v
+    return ExponentVector(basis, tuple(out))
+
+
+def to_word(vec):
+    """The ordered product of the basis commutators' powers that ``vec`` lists."""
+    word = ReducedWord.identity(vec.basis.rank)
+    for alpha, e in vec.nonzero():
+        word = word * commutator_word(vec.basis.rank, alpha.sequence) ** e
+    return word
 
 
 def random_word(rng, rank, length):
@@ -269,7 +294,7 @@ def test_normal_form_round_trip(rng):
                     if rng.random() < 0.5
                 }
                 vec = exponent_vector_from_dict(basis, values)
-                nf = rfg_normal_form(vec.to_word(), basis)
+                nf = rfg_normal_form(to_word(vec), basis)
                 assert nf.values == vec.values
                 assert all(type(v) is int for v in nf.values)
 
@@ -397,6 +422,10 @@ def test_parse_reduced_word():
         parse_reduced_word("x0")
     with pytest.raises(RankError):
         parse_reduced_word("x2^2")
+    # a superscript is a digit to str.isdigit() but not a decimal one
+    for token in ("x\u00b2", "x1\u00b9"):
+        with pytest.raises(RankError, match="malformed token"):
+            parse_reduced_word(token)
 
 
 def test_commutator_word_left_normed():
